@@ -1,10 +1,12 @@
 """Benchmark harness: run matrices, overhead computation, table output."""
 
 from .harness import (
-    BenchResult, RunMatrix, attach_overheads, compile_workload,
-    run_workload, overhead_matrix, PAPER_SETTINGS,
+    BenchResult, CellMatrix, RunMatrix, attach_overheads,
+    compile_workload, run_cells, run_workload, overhead_matrix,
+    PAPER_SETTINGS,
 )
 from .gates import GateReport, evaluate, rolling_baseline
+from .kinds import KINDS, BenchKind
 from .provision import ProvisionMatrix, ProvisionResult, measure_cell
 from .store import CellKey, Record, ResultsStore, records_from_doc
 from .tables import format_series, format_table, percent
@@ -15,4 +17,5 @@ __all__ = ["BenchResult", "RunMatrix", "attach_overheads",
            "ProvisionMatrix", "ProvisionResult", "measure_cell",
            "format_series", "format_table", "percent",
            "CellKey", "Record", "ResultsStore", "records_from_doc",
-           "GateReport", "evaluate", "rolling_baseline"]
+           "GateReport", "evaluate", "rolling_baseline",
+           "BenchKind", "KINDS", "CellMatrix", "run_cells"]

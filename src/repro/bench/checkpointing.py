@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.bootstrap import BootstrapEnclave, ProvisionCache, RunOutcome
@@ -98,14 +98,8 @@ class OverheadPoint:
     identical: bool
 
     def to_dict(self) -> dict:
-        return {
-            "checkpoint_every": self.checkpoint_every,
-            "wall_s": round(self.wall_s, 6),
-            "checkpoints": self.checkpoints,
-            "chain_bytes": self.chain_bytes,
-            "overhead_pct": round(self.overhead_pct, 2),
-            "identical": self.identical,
-        }
+        return {**asdict(self), "wall_s": round(self.wall_s, 6),
+                "overhead_pct": round(self.overhead_pct, 2)}
 
 
 @dataclass
@@ -119,13 +113,7 @@ class ResumePoint:
     rollback_rejected: bool
 
     def to_dict(self) -> dict:
-        return {
-            "interrupt_step": self.interrupt_step,
-            "resumed_at_step": self.resumed_at_step,
-            "chain_len": self.chain_len,
-            "identical": self.identical,
-            "rollback_rejected": self.rollback_rejected,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -150,17 +138,9 @@ class CheckpointCell:
                         for r in self.resumes))
 
     def to_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "param": self.param,
-            "setting": self.setting,
-            "steps": self.steps,
-            "plain_wall_s": round(self.plain_wall_s, 6),
-            "overhead": [p.to_dict() for p in self.overhead],
-            "resumes": [r.to_dict() for r in self.resumes],
-            "status": self.status,
-            "detail": self.detail,
-        }
+        return {**asdict(self),
+                "plain_wall_s": round(self.plain_wall_s, 6),
+                "overhead": [p.to_dict() for p in self.overhead]}
 
 
 def _teardown_at(boot: BootstrapEnclave, at_step: int):

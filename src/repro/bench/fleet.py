@@ -166,36 +166,3 @@ def run_fleet_bench(seed: int = 2021, *,
         "stats": report["stats"],
         "drones_detail": report["drones"],
     }
-
-
-def smoke_params() -> dict:
-    """Small-pool parameters for the CI ``fleet-smoke`` job."""
-    return {"drones": 3, "sessions": 10, "tenants": 3,
-            "long_every": 3, "max_queue": 12, "tenant_quota": 3}
-
-
-def format_fleet_table(doc: dict) -> str:
-    """Human-oriented summary table of a fleet bench document."""
-    from .tables import format_table
-    counters = doc["counters"]
-    lt = doc["latency_ticks"]
-    rows = [
-        ["sessions submitted", str(doc["sessions"])],
-        ["admitted / completed",
-         f"{counters['admitted']} / {counters['completed']}"],
-        ["shed (typed)", str(counters["shed"])],
-        ["lost", str(len(doc["lost"]))],
-        ["migrations", str(counters["migrations"])],
-        ["preemptions", str(counters["preemptions"])],
-        ["replacements / quarantines",
-         f"{counters['replacements']} / {counters['quarantines']}"],
-        ["rollbacks rejected",
-         str(doc["stats"]["rollbacks_rejected"])],
-        ["latency ticks p50/p99",
-         f"{lt['p50']:g} / {lt['p99']:g}"],
-        ["sessions/sec", f"{doc['sessions_per_sec']:.1f}"],
-        ["wall", f"{doc['wall_s']:.2f}s over {doc['ticks']} ticks"],
-    ]
-    title = (f"fleet bench (seed {doc['seed']}, {doc['drones']} drones"
-             f", status {doc['status']})")
-    return format_table(title, ["metric", "value"], rows)

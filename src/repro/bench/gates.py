@@ -7,12 +7,13 @@ median of the last ``window`` accepted (status ``ok``) runs of the
 same key — and classifies every metric:
 
 ``improved``
-    below the baseline by more than the noise band (all store metrics
-    are lower-is-better; booleans are good-is-true);
+    better than the baseline by more than the noise band (store
+    metrics are lower-is-better unless declared higher-is-better;
+    booleans are good-is-true);
 ``flat``
     within the band;
 ``regressed``
-    above the baseline by more than the band;
+    worse than the baseline by more than the band;
 ``new``
     no accepted history for this key/metric — nothing to compare, the
     observation simply seeds the baseline for the next run.
@@ -37,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from .kinds import metric_class
 from .store import CellKey, Record
 from .tables import format_table
 
@@ -45,25 +47,6 @@ DEFAULT_WINDOW = 5
 
 #: Default wall-clock noise band, percent.
 DEFAULT_WALL_BAND = 25.0
-
-#: Wall-clock metric names (exact), plus the ``@``-suffixed families
-#: checked by :func:`is_wall_metric`.  Everything else in the store is
-#: deterministic and gates with a zero band.
-_WALL_METRICS = {"wall_s", "plain_wall_s", "legacy_cold_ms",
-                 "new_cold_ms", "warm_ms", "sec_per_session",
-                 "p50_s", "p99_s", "records_per_s", "chunk_p99_s"}
-_WALL_PREFIXES = ("overhead_pct@",)
-
-#: The store's numeric contract is lower-is-better, and every producer
-#: so far honoured it by storing reciprocals (``sec_per_session``).
-#: The pipeline bench stores throughput directly, so the gate inverts
-#: the comparison sense for exactly these metrics: *dropping* below
-#: the baseline band is the regression.
-_HIGHER_IS_BETTER = {"records_per_s"}
-
-
-def is_wall_metric(name: str) -> bool:
-    return name in _WALL_METRICS or name.startswith(_WALL_PREFIXES)
 
 
 def rolling_baseline(values: Sequence[float],
@@ -174,13 +157,15 @@ def classify(metric: str, current, baseline,
              wall_band_pct: float = DEFAULT_WALL_BAND) -> Delta:
     """Classify one metric value against its baseline.
 
-    Numeric store metrics are lower-is-better (except the explicit
-    :data:`_HIGHER_IS_BETTER` set, where the sense inverts but the
-    reported ``delta_pct`` stays the raw signed change); booleans are
+    Numeric store metrics are lower-is-better unless their kind declares
+    them higher-is-better (throughput), where the sense inverts but the
+    reported ``delta_pct`` stays the raw signed change; booleans are
     good-is-true.  The baseline of a boolean series is its median as
     0/1, so one historical flake does not flip the expectation.
     """
-    band = wall_band_pct if is_wall_metric(metric) else 0.0
+    # Metric classes are declared once, by the bench kinds.
+    declared = metric_class(metric)
+    band = wall_band_pct if declared.wall else 0.0
     if isinstance(current, bool):
         expected = baseline >= 0.5
         if current and not expected:
@@ -194,7 +179,7 @@ def classify(metric: str, current, baseline,
         return Delta(key=None, metric=metric, current=current,
                      baseline=expected, classification=cls,
                      gating=True)
-    inverted = metric in _HIGHER_IS_BETTER
+    inverted = declared.higher
     if baseline == 0:
         if current == 0:
             cls, pct = "flat", 0.0

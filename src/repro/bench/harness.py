@@ -16,23 +16,24 @@ Two layers of amortization keep sweeps fast:
   (both-executor comparisons, figure size sweeps over one binary)
   skips RDD + verification + imm rewriting.
 
-``RunMatrix.collect(jobs=N)`` fans the workload × setting cells out to
-a ``multiprocessing`` worker pool.  Cells are compiled once in the
-parent (the fork inherits the warm compile cache), every cell is
-deterministic, and the merge re-assembles rows in sweep order — so the
-parallel matrix's cell values (steps, cycles, aex_events, overhead_pct)
-are byte-identical to a serial run; only ``wall_s``/``ips`` may differ.
+:func:`run_cells` is the one fork pool every matrix kind shares
+(``RunMatrix``, ``ProvisionMatrix``, ``StaticMatrix``): ``jobs=N`` fans
+the workload × setting cells out to ``multiprocessing`` workers, cells
+are compiled once in the parent (the fork inherits the warm compile
+cache), and results come back in task order — so a parallel matrix's
+deterministic cell values are byte-identical to a serial run; only
+wall-clock fields may differ.  :class:`CellMatrix` is the matrix shape
+they share.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from ..compiler.frontend import compile_source
 from ..core.bootstrap import PROVISION_CACHE, BootstrapEnclave, RunOutcome
@@ -61,9 +62,9 @@ class BenchResult:
 
     workload: str
     setting: str
-    param: int
-    steps: int
-    cycles: float
+    param: Optional[int] = None
+    steps: int = 0
+    cycles: float = 0.0
     reports: List[int] = field(default_factory=list)
     aex_events: int = 0
     text_bytes: int = 0
@@ -421,57 +422,154 @@ def overhead_matrix(workload: Union[str, Workload],
     return results
 
 
-#: Worker-side sweep parameters, set once per pool worker by
-#: :func:`_pool_init` (fork inherits the parent's warm compile cache).
-_POOL_STATE: dict = {}
+#: Errors a non-strict sweep records on the failed cell instead of
+#: raising (unknown workload names and malformed settings included).
+_CELL_ERRORS = (ReproError, KeyError, ValueError)
+
+#: The sweep a pool worker serves, installed by the pool initializer.
+#: Workers fork, so the cell function (a closure) and the parent's warm
+#: compile cache are inherited, never pickled; the parent's copy stays
+#: empty.
+_WORKER_SWEEP: dict = {}
 
 
-def _pool_init(cost_model, aex_mean_interval, strict, provision_cache,
-               kwargs) -> None:
-    _POOL_STATE.update(cost_model=cost_model,
-                       aex_mean_interval=aex_mean_interval,
-                       strict=strict, provision_cache=provision_cache,
-                       kwargs=kwargs)
+def _safe_cell(sweep: dict, task: tuple):
+    """Measure one cell; a non-strict sweep turns a cell error into a
+    failed cell (``status="error"``) and keeps sweeping."""
+    try:
+        return sweep["measure"](*task)
+    except _CELL_ERRORS as exc:
+        if sweep["strict"]:
+            raise
+        return sweep["failed"](*task, exc)
 
 
-def _pool_cell(name: str, setting: str):
-    """Run one (workload, setting) cell inside a pool worker.
+def _pool_cell(task: tuple):
+    """Pool-worker side of :func:`run_cells`.  Returns ``(cell, fresh
+    provision-cache entries)`` when harvesting: workers die with the
+    pool, and without the harvest a later sweep over the same binaries
+    would re-verify everything."""
+    sweep = _WORKER_SWEEP
+    before = PROVISION_CACHE.keys() if sweep["harvest"] else None
+    cell = _safe_cell(sweep, task)
+    return cell, (PROVISION_CACHE.export_since(before)
+                  if before is not None else {})
 
-    Returns ``(result, fresh_cache_entries)`` — the entries this cell
-    added to the worker's provision cache, so the parent can absorb
-    them (worker processes die with the pool; without the harvest a
-    later sweep over the same binaries would re-verify everything).
+
+def run_cells(tasks: Iterable[tuple], measure: Callable, jobs: int = 1,
+              *, failed: Callable, strict: bool = True,
+              precompile: Optional[Callable] = None,
+              harvest: bool = False) -> list:
+    """Run ``measure(*task)`` for every task; results in task order.
+
+    ``jobs == 1`` runs the cells inline; ``jobs > 1`` fans them out to
+    a fork pool of ``min(jobs, len(tasks))`` workers, after running
+    ``precompile(*task)`` for every task in the parent so the workers
+    inherit a warm compile cache.  An empty task set never reaches the
+    pool.  ``failed(*task, exc)`` builds the cell a non-strict sweep
+    records for a cell error; ``harvest`` absorbs the provision-cache
+    entries each worker created back into the parent's cache.
     """
-    state = _POOL_STATE
-    before = PROVISION_CACHE.keys() if state["provision_cache"] else None
-    result = run_workload(
-        name, setting,
-        aex_schedule=_cell_schedule(setting,
-                                    state["aex_mean_interval"]),
-        cost_model=state["cost_model"],
-        strict=state["strict"],
-        provision_cache=state["provision_cache"],
-        **state["kwargs"])
-    fresh = (PROVISION_CACHE.export_since(before)
-             if before is not None else {})
-    return result, fresh
+    tasks = list(tasks)
+    sweep = dict(measure=measure, failed=failed, strict=strict,
+                 harvest=harvest)
+    if jobs <= 1 or not tasks or \
+            "fork" not in multiprocessing.get_all_start_methods():
+        return [_safe_cell(sweep, task) for task in tasks]
+    if precompile is not None:
+        for task in tasks:
+            try:
+                precompile(*task)
+            except _CELL_ERRORS:
+                if strict:
+                    raise
+                # the worker re-raises and records the failed cell
+    with multiprocessing.get_context("fork").Pool(
+            processes=min(jobs, len(tasks)),
+            initializer=_WORKER_SWEEP.update, initargs=(sweep,)) as pool:
+        results = pool.map(_pool_cell, tasks)
+    for _, fresh in results:
+        PROVISION_CACHE.absorb(fresh)
+    return [cell for cell, _ in results]
 
 
-class RunMatrix(dict):
+class CellMatrix(dict):
+    """A ``{workload: {setting: cell}}`` sweep — the shape shared by
+    every matrix kind.  Subclasses name their ``schema`` and ``cell``
+    type (any dataclass with ``workload``/``setting``/``status``/
+    ``detail`` fields, an ``ok`` property and ``to_dict``), and add
+    their own ``totals``."""
+
+    schema = ""
+    cell: type
+
+    def __init__(self, parallelism: int = 1):
+        super().__init__()
+        #: Worker-pool size the cells ran under (1 = serial).
+        self.parallelism = max(1, int(parallelism))
+
+    def _fill(self, workloads: Iterable[str], settings, measure,
+              strict: bool, **pool) -> "CellMatrix":
+        """Sweep ``workloads`` × ``settings`` through :func:`run_cells`.
+        Every workload gets a row, so an empty ``settings`` yields empty
+        rows and an empty ``workloads`` no rows, at any ``jobs``."""
+        workloads, settings = list(workloads), tuple(settings)
+        cells = iter(run_cells(
+            [(name, setting) for name in workloads
+             for setting in settings],
+            measure, self.parallelism, strict=strict,
+            failed=lambda name, setting, exc: self.cell(
+                workload=name, setting=setting, status="error",
+                detail=str(exc)),
+            **pool))
+        for name in workloads:
+            self[name] = {setting: next(cells) for setting in settings}
+        return self
+
+    @property
+    def cells(self) -> list:
+        return [cell for row in self.values() for cell in row.values()]
+
+    @property
+    def failures(self) -> List[str]:
+        """``workload/setting`` labels of every non-ok cell."""
+        return [f"{c.workload}/{c.setting}" for c in self.cells
+                if not c.ok]
+
+    def _meta(self) -> dict:
+        return {"parallelism": self.parallelism}
+
+    def totals(self) -> dict:
+        return {"failed_cells": self.failures}
+
+    def to_json(self) -> dict:
+        """JSON-ready document: sweep totals plus per-cell dicts."""
+        return {
+            "schema": self.schema,
+            **self._meta(),
+            "totals": self.totals(),
+            "workloads": {
+                name: {setting: cell.to_dict()
+                       for setting, cell in row.items()}
+                for name, row in self.items()
+            },
+        }
+
+
+class RunMatrix(CellMatrix):
     """A full ``{workload: {setting: BenchResult}}`` sweep.
 
-    Plain dict plus a machine-readable serialization, so benchmark
-    sweeps can be archived (``BENCH_vm.json``) and diffed across
-    commits.  ``executor`` records which VM engine produced the numbers
-    (see :class:`~repro.vm.costmodel.CostModel.executor`);
-    ``parallelism`` records the worker-pool size the cells ran under
-    (1 = serial)."""
+    Archived as ``BENCH_vm.json`` and diffed across commits.
+    ``executor`` records which VM engine produced the numbers (see
+    :class:`~repro.vm.costmodel.CostModel.executor`)."""
+
+    schema = "deflection-bench/1"
+    cell = BenchResult
 
     def __init__(self, executor: str = "translate",
                  parallelism: int = 1):
-        super().__init__()
+        super().__init__(parallelism)
         self.executor = executor
-        self.parallelism = parallelism
 
     @classmethod
     def collect(cls, workloads: Iterable[str],
@@ -485,119 +583,61 @@ class RunMatrix(dict):
                 **kwargs) -> "RunMatrix":
         """Sweep ``workloads`` × ``settings`` under one executor.
 
-        ``jobs > 1`` dispatches cells to a ``multiprocessing`` pool.
-        Every cell is deterministic and rows are merged in sweep order,
-        so the parallel matrix's cell values are identical to a serial
-        run; only the wall-clock fields differ.  ``strict=False``
-        records failed cells (``status``/``detail``) instead of
-        aborting the sweep.
+        ``jobs > 1`` dispatches cells to the shared fork pool; the
+        overheads are attached per row in the parent afterwards, so the
+        matrix's cell values are identical to a serial run.
+        ``strict=False`` records failed cells (``status``/``detail``)
+        instead of aborting the sweep.
         """
         cm = cost_model or CostModel(executor=executor)
-        workloads = list(workloads)
-        settings = tuple(settings)
-        jobs = max(1, int(jobs))
-        matrix = cls(executor=cm.executor, parallelism=jobs)
-        if jobs == 1:
-            for name in workloads:
-                matrix[name] = overhead_matrix(
-                    name, settings=settings, cost_model=cm,
-                    strict=strict, aex_mean_interval=aex_mean_interval,
-                    provision_cache=provision_cache, **kwargs)
-            return matrix
-
-        tasks = [(name, setting) for name in workloads
-                 for setting in settings]
-        if not tasks:
-            # An empty cell set must not reach the pool —
-            # ``Pool(processes=0)`` raises — and the empty matrix must
-            # match what the serial path builds: one empty row per
-            # workload when ``settings`` is empty, no rows at all when
-            # ``workloads`` is.
-            for name in workloads:
-                matrix[name] = {}
-            return matrix
-        # Compile every cell in the parent so forked workers inherit a
-        # warm compile cache and never duplicate the compile work.
         param = kwargs.get("param")
-        for name, setting in tasks:
-            try:
-                compile_workload(name, setting, param)
-            except ReproError:
-                if strict:
-                    raise
-                # the worker re-raises and records the failed cell
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=min(jobs, len(tasks)),
-                      initializer=_pool_init,
-                      initargs=(cm, aex_mean_interval, strict,
-                                provision_cache, kwargs)) as pool:
-            cells = pool.starmap(_pool_cell, tasks)
-        by_cell = {}
-        for task, (cell, fresh) in zip(tasks, cells):
-            if provision_cache:
-                PROVISION_CACHE.absorb(fresh)
-            by_cell[task] = cell
-        for name in workloads:
-            row = {setting: by_cell[(name, setting)]
-                   for setting in settings}
+
+        def measure(name, setting):
+            return run_workload(
+                name, setting,
+                aex_schedule=_cell_schedule(setting, aex_mean_interval),
+                cost_model=cm, strict=strict,
+                provision_cache=provision_cache, **kwargs)
+
+        matrix = cls(executor=cm.executor, parallelism=jobs)._fill(
+            workloads, settings, measure, strict,
+            precompile=lambda name, setting: compile_workload(
+                name, setting, param),
+            harvest=provision_cache)
+        for row in matrix.values():
             attach_overheads(row, strict=strict)
-            matrix[name] = row
         return matrix
 
     @property
-    def failures(self) -> List[str]:
-        """``workload/setting`` labels of every non-ok cell."""
-        return [f"{name}/{setting}"
-                for name, row in self.items()
-                for setting, result in row.items()
-                if not result.ok]
-
-    @property
     def total_wall_s(self) -> float:
-        return sum(r.wall_s for row in self.values()
-                   for r in row.values())
+        return sum(r.wall_s for r in self.cells)
 
     @property
     def total_steps(self) -> int:
-        return sum(r.steps for row in self.values()
-                   for r in row.values())
+        return sum(r.steps for r in self.cells)
 
-    def to_json(self) -> dict:
-        """JSON-ready document: per-cell steps/cycles/wall/ips plus
-        sweep-level totals."""
+    def _meta(self) -> dict:
+        return {"executor": self.executor,
+                "parallelism": self.parallelism}
+
+    def totals(self) -> dict:
+        cells = self.cells
         return {
-            "schema": "deflection-bench/1",
-            "executor": self.executor,
-            "parallelism": self.parallelism,
-            "totals": {
-                "wall_s": round(self.total_wall_s, 6),
-                "steps": self.total_steps,
-                "ips": round(self.total_steps / self.total_wall_s, 1)
-                if self.total_wall_s > 0 else 0.0,
-                "provision_cache_hits": sum(
-                    r.provision_cache_hits for row in self.values()
-                    for r in row.values()),
-                "retries": sum(r.retries for row in self.values()
-                               for r in row.values()),
-                "recoveries": sum(r.recoveries for row in self.values()
-                                  for r in row.values()),
-                "failed_cells": self.failures,
-                **self._jit_totals(),
-            },
-            "workloads": {
-                name: {setting: result.to_dict()
-                       for setting, result in row.items()}
-                for name, row in self.items()
-            },
+            "wall_s": round(self.total_wall_s, 6),
+            "steps": self.total_steps,
+            "ips": round(self.total_steps / self.total_wall_s, 1)
+            if self.total_wall_s > 0 else 0.0,
+            "provision_cache_hits": sum(r.provision_cache_hits
+                                        for r in cells),
+            "retries": sum(r.retries for r in cells),
+            "recoveries": sum(r.recoveries for r in cells),
+            "failed_cells": self.failures,
+            **self._jit_totals(),
         }
 
     def _jit_totals(self) -> dict:
         """Sweep-level JIT aggregates (empty under the step engine)."""
-        cells = [r.jit for row in self.values() for r in row.values()
-                 if r.jit]
+        cells = [r.jit for r in self.cells if r.jit]
         if not cells:
             return {}
         total = {key: sum(c.get(key, 0) for c in cells)
@@ -615,8 +655,3 @@ class RunMatrix(dict):
         total["ic_hit_rate"] = \
             round(total["ic_hits"] / probes, 4) if probes else 0.0
         return {"jit": total}
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=False)
-            fh.write("\n")

@@ -78,16 +78,17 @@ def _run_cell(seed: int, topology: str, mode: str, faults: str, *,
         provision_cache=cache, checkpoint_every=checkpoint_every,
         rekey_every=rekey_every if mode == "stream" else None,
         sleep=None)
+    chunking = {"chunk_size": chunk_size} if mode == "stream" else {}
     began = time.perf_counter()
     if mode == "stream":
-        run = orch.run_streaming(data, chunk_size=chunk_size,
-                                 window=window)
-        oracle, _ = serial_oracle(stages, data, chunk_size=chunk_size,
-                                  provision_cache=cache)
+        run = orch.run_streaming(data, window=window, **chunking)
     else:
         run = orch.run(data)
-        oracle, _ = serial_oracle(stages, data, provision_cache=cache)
+    # The clock stops before the oracle replay: wall_s/records_per_s
+    # time the pipeline, not the check.
     wall_s = time.perf_counter() - began
+    oracle, _ = serial_oracle(stages, data, provision_cache=cache,
+                              **chunking)
     identical = bool(run.ok and run.output == oracle)
     stats = run.stats
     status = run.status
@@ -158,35 +159,3 @@ def run_pipeline_bench(seed: int = 2021, *,
         "wall_s": time.perf_counter() - began,
         "provision_cache": cache.stats(),
     }
-
-
-def smoke_params() -> dict:
-    """Small-matrix parameters for the CI ``pipeline-smoke`` job: one
-    topology, both modes, clean hosts only."""
-    return {"topologies": ("filter-score-agg",),
-            "fault_settings": ("clean",),
-            "data_len": 48, "chunk_size": 16}
-
-
-def format_pipeline_table(doc: dict) -> str:
-    """Human-oriented summary table of a pipeline bench document."""
-    from .tables import format_table
-    rows = []
-    for cell in doc["cells"]:
-        rows.append([
-            f"{cell['topology']}/{cell['mode']}/{cell['faults']}",
-            cell["status"],
-            "yes" if cell["chain_verified"] else "NO",
-            "yes" if cell["output_identical"] else "NO",
-            str(cell["resumes"]),
-            str(cell["handoffs_rejected"]
-                + cell["chain_attacks_rejected"]),
-            f"{cell['records_per_s']:.1f}",
-            f"{cell['chunk_p99_s'] * 1000:.0f}ms",
-        ])
-    title = f"pipeline bench (seed {doc['seed']}, status {doc['status']})"
-    return format_table(
-        title,
-        ["cell", "status", "chain", "identical", "resumes",
-         "rejected", "rec/s", "chunk p99"],
-        rows)

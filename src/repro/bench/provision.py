@@ -29,8 +29,6 @@ bookkeeping (hashing, audit records) present in only one driver.
 
 from __future__ import annotations
 
-import json
-import multiprocessing
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional
@@ -41,10 +39,9 @@ from ..core.legacy import (
     LegacyPolicyVerifier, legacy_recursive_descent, legacy_rewrite,
 )
 from ..core.rewriter import build_value_map
-from ..errors import ReproError
 from ..policy.policies import PolicySet
 from ..workloads import get_workload
-from .harness import PAPER_SETTINGS, compile_workload
+from .harness import PAPER_SETTINGS, CellMatrix, compile_workload
 
 #: The pipeline stages every cold provisioning is decomposed into.
 STAGES = ("parse", "load", "rdd", "verify", "rewrite")
@@ -210,40 +207,15 @@ def measure_cell(workload: str, setting: str,
     return result
 
 
-#: Worker-side sweep parameters for the fork pool (mirrors
-#: ``repro.bench.harness._POOL_STATE``).
-_PPOOL_STATE: dict = {}
-
-
-def _ppool_init(param, repeats, strict) -> None:
-    _PPOOL_STATE.update(param=param, repeats=repeats, strict=strict)
-
-
-def _ppool_cell(name: str, setting: str) -> ProvisionResult:
-    state = _PPOOL_STATE
-    return _safe_cell(name, setting, state["param"], state["repeats"],
-                      state["strict"])
-
-
-def _safe_cell(name: str, setting: str, param, repeats: int,
-               strict: bool) -> ProvisionResult:
-    try:
-        return measure_cell(name, setting, param=param, repeats=repeats)
-    except (ReproError, KeyError, ValueError) as exc:
-        if strict:
-            raise
-        return ProvisionResult(workload=name, setting=setting,
-                               status="error", detail=str(exc))
-
-
-class ProvisionMatrix(dict):
+class ProvisionMatrix(CellMatrix):
     """A ``{workload: {setting: ProvisionResult}}`` provisioning sweep
-    with the same document shape as the VM run matrix
-    (``BENCH_vm.json``): sweep totals plus per-cell dicts."""
+    (``BENCH_provision.json``)."""
+
+    schema = "deflection-provision/1"
+    cell = ProvisionResult
 
     def __init__(self, parallelism: int = 1, repeats: int = 3):
-        super().__init__()
-        self.parallelism = parallelism
+        super().__init__(parallelism)
         self.repeats = repeats
 
     @classmethod
@@ -254,50 +226,21 @@ class ProvisionMatrix(dict):
                 jobs: int = 1,
                 strict: bool = True) -> "ProvisionMatrix":
         """Sweep ``workloads`` × ``settings``; ``jobs > 1`` fans cells
-        out to a fork pool (cells are independent — each builds its own
-        enclaves and a private cache, so no state rides between them)."""
-        workloads = list(workloads)
-        settings = tuple(settings)
-        jobs = max(1, int(jobs))
-        matrix = cls(parallelism=jobs, repeats=repeats)
-        tasks = [(name, setting) for name in workloads
-                 for setting in settings]
-        if jobs == 1:
-            cells = [_safe_cell(name, setting, param, repeats, strict)
-                     for name, setting in tasks]
-        else:
-            # Compile in the parent so forked workers inherit the cache.
-            for name, setting in tasks:
-                try:
-                    compile_workload(name, setting, param)
-                except (ReproError, KeyError, ValueError):
-                    if strict:
-                        raise
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                ctx = multiprocessing.get_context()
-            with ctx.Pool(processes=min(jobs, len(tasks)),
-                          initializer=_ppool_init,
-                          initargs=(param, repeats, strict)) as pool:
-                cells = pool.starmap(_ppool_cell, tasks)
-        for (name, setting), cell in zip(tasks, cells):
-            matrix.setdefault(name, {})[setting] = cell
-        return matrix
-
-    @property
-    def cells(self) -> List[ProvisionResult]:
-        return [cell for row in self.values() for cell in row.values()]
+        out to the shared fork pool (cells are independent — each builds
+        its own enclaves and a private cache, so no state rides between
+        them)."""
+        return cls(parallelism=jobs, repeats=repeats)._fill(
+            workloads, settings,
+            lambda name, setting: measure_cell(
+                name, setting, param=param, repeats=repeats),
+            strict,
+            precompile=lambda name, setting: compile_workload(
+                name, setting, param))
 
     @property
     def divergent_cells(self) -> List[str]:
         return [f"{c.workload}/{c.setting}" for c in self.cells
                 if c.status == "divergent"]
-
-    @property
-    def failures(self) -> List[str]:
-        return [f"{c.workload}/{c.setting}" for c in self.cells
-                if not c.ok]
 
     @property
     def incomplete_cells(self) -> List[str]:
@@ -306,6 +249,9 @@ class ProvisionMatrix(dict):
         return [f"{c.workload}/{c.setting}" for c in self.cells
                 if c.ok and (set(c.legacy_stages) != set(STAGES) or
                              set(c.new_stages) != set(STAGES))]
+
+    def _meta(self) -> dict:
+        return {"parallelism": self.parallelism, "repeats": self.repeats}
 
     def totals(self) -> dict:
         ok = [c for c in self.cells if c.ok]
@@ -320,21 +266,3 @@ class ProvisionMatrix(dict):
             "divergent_cells": self.divergent_cells,
             "failed_cells": self.failures,
         }
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "deflection-provision/1",
-            "parallelism": self.parallelism,
-            "repeats": self.repeats,
-            "totals": self.totals(),
-            "workloads": {
-                name: {setting: cell.to_dict()
-                       for setting, cell in row.items()}
-                for name, row in self.items()
-            },
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=False)
-            fh.write("\n")

@@ -21,17 +21,14 @@ gate as much as a measurement.
 
 from __future__ import annotations
 
-import json
-import multiprocessing
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Dict, Iterable, Optional
 
 from ..analysis import analyze_object
 from ..compiler.objfile import ObjectFile
-from ..errors import ReproError
 from ..policy.policies import PolicySet
 from ..workloads import get_workload
-from .harness import compile_workload, run_workload
+from .harness import CellMatrix, compile_workload, run_workload
 
 #: The guard-bearing settings of the paper matrix (baseline has no
 #: guards to elide; P1-P6 adds AEX markers the proof tier leaves
@@ -74,28 +71,10 @@ class StaticResult:
         return self.status == "ok"
 
     def to_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "setting": self.setting,
-            "param": self.param,
-            "steps": self.steps,
-            "cycles_full": self.cycles_full,
-            "cycles_light": self.cycles_light,
-            "overhead_full_pct": round(self.overhead_full_pct, 4),
-            "overhead_light_pct": round(self.overhead_light_pct, 4),
-            "overhead_cut_pct": round(self.overhead_cut_pct, 4),
-            "guard_sites_full": self.guard_sites_full,
-            "guard_sites_light": self.guard_sites_light,
-            "elided": dict(self.elided),
-            "proof_entries": self.proof_entries,
-            "text_bytes_full": self.text_bytes_full,
-            "text_bytes_light": self.text_bytes_light,
-            "annotation_bytes_saved": self.annotation_bytes_saved,
-            "verified_light": self.verified_light,
-            "outputs_identical": self.outputs_identical,
-            "status": self.status,
-            "detail": self.detail,
-        }
+        return {**asdict(self), **{
+            name: round(getattr(self, name), 4)
+            for name in ("overhead_full_pct", "overhead_light_pct",
+                         "overhead_cut_pct")}}
 
 
 def _guard_sites(report) -> int:
@@ -165,38 +144,12 @@ def measure_static_cell(workload: str, setting: str,
     return result
 
 
-def _safe_static_cell(name: str, setting: str, param,
-                      strict: bool) -> StaticResult:
-    try:
-        return measure_static_cell(name, setting, param=param)
-    except (ReproError, KeyError, ValueError) as exc:
-        if strict:
-            raise
-        return StaticResult(workload=name, setting=setting,
-                            status="error", detail=str(exc))
+class StaticMatrix(CellMatrix):
+    """A ``{workload: {setting: StaticResult}}`` ablation sweep
+    (``BENCH_static.json``)."""
 
-
-#: Worker-side sweep parameters for the fork pool.
-_SPOOL_STATE: dict = {}
-
-
-def _spool_init(param, strict) -> None:
-    _SPOOL_STATE.update(param=param, strict=strict)
-
-
-def _spool_cell(name: str, setting: str) -> StaticResult:
-    state = _SPOOL_STATE
-    return _safe_static_cell(name, setting, state["param"],
-                             state["strict"])
-
-
-class StaticMatrix(dict):
-    """A ``{workload: {setting: StaticResult}}`` ablation sweep with
-    the same document conventions as the other BENCH matrices."""
-
-    def __init__(self, parallelism: int = 1):
-        super().__init__()
-        self.parallelism = parallelism
+    schema = "deflection-static/1"
+    cell = StaticResult
 
     @classmethod
     def collect(cls, workloads: Iterable[str],
@@ -204,46 +157,16 @@ class StaticMatrix(dict):
                 param: Optional[int] = None,
                 jobs: int = 1,
                 strict: bool = True) -> "StaticMatrix":
-        workloads = list(workloads)
-        settings = tuple(settings)
-        jobs = max(1, int(jobs))
-        matrix = cls(parallelism=jobs)
-        tasks = [(name, setting) for name in workloads
-                 for setting in settings]
-        if jobs == 1 or not tasks:
-            cells = [_safe_static_cell(name, setting, param, strict)
-                     for name, setting in tasks]
-        else:
-            # Compile both variants in the parent so forked workers
-            # inherit the warm compile cache.
-            for name, setting in tasks:
-                for light in (False, True):
-                    try:
-                        compile_workload(name, setting, param,
-                                         light=light)
-                    except (ReproError, KeyError, ValueError):
-                        if strict:
-                            raise
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                ctx = multiprocessing.get_context()
-            with ctx.Pool(processes=min(jobs, len(tasks)),
-                          initializer=_spool_init,
-                          initargs=(param, strict)) as pool:
-                cells = pool.starmap(_spool_cell, tasks)
-        for (name, setting), cell in zip(tasks, cells):
-            matrix.setdefault(name, {})[setting] = cell
-        return matrix
+        def precompile(name, setting):
+            # both variants, so forked workers inherit them warm
+            for light in (False, True):
+                compile_workload(name, setting, param, light=light)
 
-    @property
-    def cells(self) -> List[StaticResult]:
-        return [cell for row in self.values() for cell in row.values()]
-
-    @property
-    def failures(self) -> List[str]:
-        return [f"{c.workload}/{c.setting}" for c in self.cells
-                if not c.ok]
+        return cls(parallelism=jobs)._fill(
+            workloads, settings,
+            lambda name, setting: measure_static_cell(
+                name, setting, param=param),
+            strict, precompile=precompile)
 
     def totals(self) -> dict:
         ok = [c for c in self.cells if c.ok]
@@ -262,20 +185,3 @@ class StaticMatrix(dict):
             "min_overhead_cut_pct": round(min(cuts), 2) if cuts else 0.0,
             "failed_cells": self.failures,
         }
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "deflection-static/1",
-            "parallelism": self.parallelism,
-            "totals": self.totals(),
-            "workloads": {
-                name: {setting: cell.to_dict()
-                       for setting, cell in row.items()}
-                for name, row in self.items()
-            },
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=False)
-            fh.write("\n")

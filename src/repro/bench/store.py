@@ -23,12 +23,12 @@ Design notes:
 * JSONL, not a database: append is a single ``O_APPEND`` write, the
   file diffs cleanly in review, and a truncated tail line (a crashed
   writer) damages one record, not the store.
-* Metric *names* encode semantics for the gate layer: deterministic
-  metrics (``cycles``, ``steps``, ``aex_events``, byte counts,
-  booleans) carry a zero noise band — the simulation is deterministic,
-  so any drift is a real behaviour change — while wall-clock metrics
-  (``wall_s``, ``*_cold_ms``, ``warm_ms``, ``plain_wall_s``,
-  ``overhead_pct@N``) are host noise and get a percentage band.
+* Documents are ingested by one builder, :func:`records_from_doc`,
+  driven by the bench kinds' metric declarations
+  (:mod:`repro.bench.kinds`): each kind says which store cells its
+  document holds and declares each metric once, as deterministic (zero
+  noise band — the simulation is deterministic, so any drift is a real
+  behaviour change) or wall clock (percentage band).
 * One record per cell, not per run: baselines are per-cell, and a cell
   that disappears from later sweeps simply stops generating records
   instead of poisoning run-level comparisons.
@@ -43,20 +43,10 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
 from ..errors import ReproError
+from .kinds import KINDS, SCHEMAS, read_metrics
 
 #: Store line schema tag.
 SCHEMA = "deflection-results/1"
-
-#: Every measurement kind the store accepts.  Checked at CellKey
-#: construction so a typo'd kind raises :class:`StoreError` instead of
-#: silently forking a fresh baseline family nothing ever gates.
-KINDS = frozenset({"vm", "provision", "checkpoint", "fleet", "static",
-                   "pipeline"})
-
-#: JIT tier per bench executor label (the label, not
-#: ``CostModel.executor`` — ``translate-t1`` resolves to the translate
-#: engine with chaining off, so only the label still knows the tier).
-TIERS = {"step": 0, "translate-t1": 1, "translate": 2}
 
 Metric = Union[int, float, bool]
 
@@ -69,7 +59,7 @@ class StoreError(ReproError):
 class CellKey:
     """The measurement context a baseline is rolled over."""
 
-    kind: str                    # one of KINDS
+    kind: str                    # a bench kind name (kinds.KINDS)
     executor: str                # bench executor label; "" when n/a
     tier: int                    # jit tier; -1 when n/a
     workload: str
@@ -77,6 +67,8 @@ class CellKey:
     param: Optional[int]
 
     def __post_init__(self):
+        # A typo'd kind raises instead of silently forking a fresh
+        # baseline family nothing ever gates.
         if self.kind not in KINDS:
             raise StoreError(
                 f"unknown results-store kind {self.kind!r}; "
@@ -201,10 +193,6 @@ def new_run_id(kind: str, commit: str,
     return f"{kind}-{commit}-{int(ts * 1000):x}"
 
 
-# --------------------------------------------------------------------
-# Ingest builders: BENCH_* documents -> per-cell records
-# --------------------------------------------------------------------
-
 def stamp_run(records: List[Record], commit: str, run_id: str = "",
               ts: Optional[float] = None) -> List[Record]:
     """Stamp one ingest's run metadata onto every record."""
@@ -219,291 +207,31 @@ def stamp_run(records: List[Record], commit: str, run_id: str = "",
     return records
 
 
-def vm_cell_record(executor_label: str, cell: dict) -> Record:
-    """One ``RunMatrix`` cell dict (``BenchResult.to_dict``) as a
-    record.  ``cycles``/``steps``/``aex_events``/``overhead_pct`` are
-    deterministic (the cost model is simulated); ``wall_s`` is host
-    time."""
-    key = CellKey(kind="vm", executor=executor_label,
-                  tier=TIERS.get(executor_label, -1),
-                  workload=cell["workload"], setting=cell["setting"],
-                  param=cell.get("param"))
-    metrics: Dict[str, Metric] = {
-        "cycles": cell["cycles"],
-        "steps": cell["steps"],
-        "aex_events": cell["aex_events"],
-        "text_bytes": cell.get("text_bytes", 0),
-        "overhead_pct": cell.get("overhead_pct", 0.0),
-        "wall_s": cell.get("wall_s", 0.0),
-    }
-    return Record(key=key, metrics=metrics,
-                  status=cell.get("status", "ok"),
-                  detail=cell.get("detail", ""))
-
-
-def records_from_vm_doc(doc: dict,
-                        executor_label: Optional[str] = None
-                        ) -> List[Record]:
-    """Ingest a ``BENCH_vm.json`` document — either a single-executor
-    ``RunMatrix.to_json()`` or the multi-executor comparison wrapper.
-    ``executor_label`` overrides the document's executor field for
-    single-matrix docs (the tier-1 label is erased by the cost model).
-    """
-    records = []
-    if "executors" in doc:
-        for label, sub in doc["executors"].items():
-            for row in sub.get("workloads", {}).values():
-                for cell in row.values():
-                    records.append(vm_cell_record(label, cell))
-        return records
-    label = executor_label or doc.get("executor", "translate")
-    for row in doc.get("workloads", {}).values():
-        for cell in row.values():
-            records.append(vm_cell_record(label, cell))
-    return records
-
-
-def records_from_smoke_cells(cells: Dict[str, "object"]
-                             ) -> List[Record]:
-    """Ingest the ``repro bench --smoke`` cells — one
-    :class:`~repro.bench.harness.BenchResult` per executor label."""
-    return [vm_cell_record(label, result.to_dict())
-            for label, result in cells.items()]
-
-
-def records_from_provision_doc(doc: dict) -> List[Record]:
-    """Ingest a ``BENCH_provision.json`` document.  Byte-identity and
-    size/instruction counts are deterministic; the stage timings and
-    cold/warm totals are wall clock."""
-    records = []
-    for row in doc.get("workloads", {}).values():
-        for cell in row.values():
-            key = CellKey(kind="provision", executor="", tier=-1,
-                          workload=cell["workload"],
-                          setting=cell["setting"],
-                          param=cell.get("param"))
-            metrics: Dict[str, Metric] = {
-                "identical": bool(cell.get("identical", False)),
-                "text_bytes": cell.get("text_bytes", 0),
-                "instructions": cell.get("instructions", 0),
-                "legacy_cold_ms": cell.get("legacy_cold_ms", 0.0),
-                "new_cold_ms": cell.get("new_cold_ms", 0.0),
-                "warm_ms": cell.get("warm_ms", 0.0),
-            }
-            records.append(Record(key=key, metrics=metrics,
-                                  status=cell.get("status", "ok"),
-                                  detail=cell.get("detail", "")))
-    return records
-
-
-def records_from_checkpoint_doc(doc: dict) -> List[Record]:
-    """Ingest a ``BENCH_checkpoint.json`` document.  Resume identity,
-    rollback rejection, step counts and sealed-chain sizes are
-    deterministic; the per-interval overhead is wall clock."""
-    records = []
-    for cell in doc.get("cells", []):
-        resumes = cell.get("resumes", [])
-        identical = all(r.get("identical") for r in resumes) \
-            and bool(resumes)
-        rejected = all(r.get("rollback_rejected") for r in resumes) \
-            and bool(resumes)
-        status = cell.get("status", "ok")
-        if status == "ok" and not (identical and rejected):
-            # CheckpointCell.status stays "ok" on a mismatch; the
-            # store must not accept such a cell into the baseline.
-            status = "divergent"
-        metrics: Dict[str, Metric] = {
-            "steps": cell.get("steps", 0),
-            "resume_identical": identical,
-            "rollbacks_rejected": rejected,
-            "resume_points": len(resumes),
-            "plain_wall_s": cell.get("plain_wall_s", 0.0),
-        }
-        for point in cell.get("overhead", []):
-            every = point["checkpoint_every"]
-            metrics[f"chain_bytes@{every}"] = point.get(
-                "chain_bytes", 0)
-            metrics[f"checkpoints@{every}"] = point.get(
-                "checkpoints", 0)
-            metrics[f"overhead_pct@{every}"] = point.get(
-                "overhead_pct", 0.0)
-        key = CellKey(kind="checkpoint", executor="", tier=-1,
-                      workload=cell["workload"],
-                      setting=cell.get("setting", ""),
-                      param=cell.get("param"))
-        records.append(Record(key=key, metrics=metrics, status=status,
-                              detail=cell.get("detail", "")))
-    return records
-
-
-def records_from_fleet_doc(doc: dict) -> List[Record]:
-    """Ingest a ``BENCH_fleet.json`` document.
-
-    One aggregate ``fleet`` cell (the campaign), plus one cell per
-    tenant.  Session counts, shed counts, scheduler counters,
-    tick-latency percentiles and the zero-lost / migrated booleans are
-    deterministic (the supervisor is virtual-time and seeded); total
-    wall time, ``sec_per_session`` and the wall-scaled latency
-    percentiles are host clock.  Throughput is stored as
-    ``sec_per_session`` (lower-is-better), not sessions/sec.
-    """
-    counters = doc.get("counters", {})
-    latency = doc.get("latency_ticks", {})
-    latency_s = doc.get("latency_s", {})
-    stats = doc.get("stats", {})
-    setting = f"d{doc.get('drones', 0)}"
-    status = doc.get("status", "ok")
-    key = CellKey(kind="fleet", executor="", tier=-1,
-                  workload="campaign", setting=setting,
-                  param=doc.get("sessions"))
-    metrics: Dict[str, Metric] = {
-        "zero_lost": bool(doc.get("zero_lost", False)),
-        "migrated": counters.get("migrations", 0) > 0,
-        "completed": counters.get("completed", 0),
-        "shed": counters.get("shed", 0),
-        "dispatches": counters.get("dispatches", 0),
-        "preemptions": counters.get("preemptions", 0),
-        "replacements": counters.get("replacements", 0),
-        "rollbacks_rejected": stats.get("rollbacks_rejected", 0),
-        "ticks": doc.get("ticks", 0),
-        "p50_ticks": latency.get("p50", 0.0),
-        "p99_ticks": latency.get("p99", 0.0),
-        "wall_s": doc.get("wall_s", 0.0),
-        "sec_per_session": doc.get("sec_per_session", 0.0),
-        "p50_s": latency_s.get("p50", 0.0),
-        "p99_s": latency_s.get("p99", 0.0),
-    }
-    records = [Record(key=key, metrics=metrics, status=status,
-                      detail=";".join(doc.get("corrupt", [])
-                                      + doc.get("lost", [])))]
-    for tenant, tstats in sorted(doc.get("tenants_stats", {}).items()):
-        tkey = CellKey(kind="fleet", executor="", tier=-1,
-                       workload="tenant", setting=tenant,
-                       param=doc.get("sessions"))
-        records.append(Record(key=tkey, metrics={
-            "attempts": tstats.get("attempts", 0),
-            "retries": tstats.get("retries", 0),
-            "fatal_errors": tstats.get("fatal_errors", 0),
-            "resumes": tstats.get("resumes", 0),
-            "rollbacks_rejected": tstats.get("rollbacks_rejected", 0),
-        }, status=status))
-    return records
-
-
-def records_from_static_doc(doc: dict) -> List[Record]:
-    """Ingest a ``BENCH_static.json`` document (annotation-full vs
-    annotation-light ablation).  Everything is deterministic — cycle
-    accounts come from the simulated cost model, guard-site counts from
-    the static analyzer — so every metric gates with a zero band.
-    ``overhead_light_pct`` (not the cut) is stored: the store is
-    uniformly lower-is-better."""
-    records = []
-    for row in doc.get("workloads", {}).values():
-        for cell in row.values():
-            key = CellKey(kind="static", executor="", tier=-1,
-                          workload=cell["workload"],
-                          setting=cell["setting"],
-                          param=cell.get("param"))
-            metrics: Dict[str, Metric] = {
-                "cycles_light": cell.get("cycles_light", 0.0),
-                "overhead_light_pct": cell.get("overhead_light_pct",
-                                               0.0),
-                "residual_guard_sites": cell.get("guard_sites_light",
-                                                 0),
-                "text_bytes_light": cell.get("text_bytes_light", 0),
-                "outputs_identical": bool(cell.get("outputs_identical",
-                                                   False)),
-                "verified_light": bool(cell.get("verified_light",
-                                                False)),
-            }
-            records.append(Record(key=key, metrics=metrics,
-                                  status=cell.get("status", "ok"),
-                                  detail=cell.get("detail", "")))
-    return records
-
-
-def records_from_pipeline_doc(doc: dict) -> List[Record]:
-    """Ingest a ``BENCH_pipeline.json`` document — one record per
-    matrix cell, keyed ``(pipeline, topology, mode-faults)``.
-
-    Link/hop/chunk counts, resume/retry/rejection counters and the
-    chain-verified / output-identical booleans are deterministic (pure
-    functions of the seed); ``wall_s``, ``records_per_s`` and
-    ``chunk_p99_s`` are host clock.  A cell that completed ``ok`` but
-    is not both chain-verified and byte-identical to the serial oracle
-    is downgraded to ``divergent`` so it never feeds a baseline —
-    mirroring the checkpoint ingester's stance that identity failures
-    are not acceptable observations."""
-    records = []
-    for cell in doc.get("cells", []):
-        status = cell.get("status", "ok")
-        if status == "ok" and not (cell.get("chain_verified")
-                                   and cell.get("output_identical")):
-            status = "divergent"
-        key = CellKey(kind="pipeline", executor="", tier=-1,
-                      workload=cell["topology"],
-                      setting=f"{cell['mode']}-{cell['faults']}",
-                      param=cell.get("chunks"))
-        metrics: Dict[str, Metric] = {
-            "chain_verified": bool(cell.get("chain_verified", False)),
-            "output_identical": bool(cell.get("output_identical",
-                                              False)),
-            "links": cell.get("links", 0),
-            "chunks": cell.get("chunks", 0),
-            "stages": cell.get("stages", 0),
-            "resumes": cell.get("resumes", 0),
-            "retries": cell.get("retries", 0),
-            "recoveries": cell.get("recoveries", 0),
-            "rollbacks_rejected": cell.get("rollbacks_rejected", 0),
-            "handoffs_rejected": cell.get("handoffs_rejected", 0),
-            "chain_attacks_rejected": cell.get("chain_attacks_rejected",
-                                               0),
-            "attacks_accepted": cell.get("attacks_accepted", 0),
-            "discard_reruns": cell.get("discard_reruns", 0),
-            "migrations": cell.get("migrations", 0),
-            "stalls": cell.get("stalls", 0),
-            "upstream_excess": cell.get("upstream_excess", 0),
-            "wall_s": cell.get("wall_s", 0.0),
-            "records_per_s": cell.get("records_per_s", 0.0),
-            "chunk_p99_s": cell.get("chunk_p99_s", 0.0),
-        }
-        records.append(Record(key=key, metrics=metrics, status=status,
-                              detail=cell.get("detail", "")))
-    return records
-
-
-#: Document schema -> ingest builder (the multi-executor VM wrapper
-#: shares the RunMatrix schema tag, handled inside the builder).
-_INGESTERS = {
-    "deflection-bench/1": records_from_vm_doc,
-    "deflection-provision/1": records_from_provision_doc,
-    "deflection-checkpoint-bench/1": records_from_checkpoint_doc,
-    "deflection-fleet/1": records_from_fleet_doc,
-    "deflection-static/1": records_from_static_doc,
-    "deflection-pipeline/1": records_from_pipeline_doc,
-}
-
-
 def records_from_doc(doc: dict, commit: str = "unknown",
                      run_id: str = "", ts: Optional[float] = None,
                      executor_label: Optional[str] = None
                      ) -> List[Record]:
-    """Dispatch a BENCH_* document to its ingest builder and stamp the
-    run metadata onto every resulting record."""
-    schema = doc.get("schema")
-    ingest = _INGESTERS.get(schema)
-    if ingest is None:
-        raise StoreError(f"cannot ingest document schema {schema!r}")
-    if ingest is records_from_vm_doc:
-        records = records_from_vm_doc(doc, executor_label=executor_label)
-    else:
-        records = ingest(doc)
+    """Ingest a BENCH_* document: one record per store cell its kind
+    declares, stamped with the run metadata.
+
+    A cell that completed ``ok`` but fails one of its flag metrics
+    (byte identity, chain verification, rollback rejection ...) is
+    downgraded to ``divergent``, so it never feeds a baseline.
+    ``executor_label`` names the engine of a single-matrix vm document
+    (the tier-1 label is erased by the cost model).
+    """
+    kind = SCHEMAS.get(doc.get("schema"))
+    if kind is None:
+        raise StoreError(
+            f"cannot ingest document schema {doc.get('schema')!r}")
+    records = []
+    for where, row, metrics in kind.cells(doc, executor_label):
+        values = read_metrics(metrics, row)
+        status = row.get("status", "ok")
+        if status == "ok" and not all(values[m.name] for m in metrics
+                                      if m.flag):
+            status = "divergent"
+        records.append(Record(key=CellKey(kind.name, *where),
+                              metrics=values, status=status,
+                              detail=row.get("detail", "")))
     return stamp_run(records, commit, run_id=run_id, ts=ts)
-
-
-def ingest_document(store: ResultsStore, doc: dict,
-                    commit: str = "unknown",
-                    executor_label: Optional[str] = None) -> int:
-    """Append every cell of ``doc`` to ``store``; returns the count."""
-    return store.append(records_from_doc(
-        doc, commit=commit, executor_label=executor_label))

@@ -58,20 +58,7 @@ def _git_commit() -> str:
     return "unknown"
 
 
-def _sweep_records(args, doc=None, smoke_cells=None,
-                   executor_label=None):
-    """This sweep's cells as results-store records."""
-    from .bench.store import (
-        records_from_doc, records_from_smoke_cells, stamp_run,
-    )
-    commit = args.commit or _git_commit()
-    if smoke_cells is not None:
-        return stamp_run(records_from_smoke_cells(smoke_cells), commit)
-    return records_from_doc(doc, commit=commit,
-                            executor_label=executor_label)
-
-
-def _bench_store_hook(args, records) -> None:
+def _bench_store_hook(args, doc: dict) -> None:
     """``--record``: append this sweep's cells to the store.
     ``--baseline``: print the delta report of these cells against the
     stored rolling baseline (informational — ``bench gate`` is the
@@ -79,7 +66,9 @@ def _bench_store_hook(args, records) -> None:
     if not (args.record or args.baseline):
         return
     from .bench import gates
-    from .bench.store import ResultsStore
+    from .bench.store import ResultsStore, records_from_doc
+    records = records_from_doc(doc, commit=args.commit or _git_commit(),
+                               executor_label=args.executor)
     store = ResultsStore(args.store)
     if args.record:
         count = store.append(records)
@@ -256,479 +245,34 @@ def cmd_run(args) -> int:
     return 2
 
 
-def _smoke_parallel_equality(name, settings, param, jobs) -> int:
-    """Collect a one-workload matrix serially and under a worker pool;
-    nonzero when any cell value differs (they never should)."""
-    from .bench.harness import RunMatrix
-    matrices = {}
-    for label, n in (("serial", 1), ("parallel", jobs)):
-        matrices[label] = RunMatrix.collect(
-            [name], settings=settings, executor="translate",
-            param=param, jobs=n)
-    unequal = []
-    for setting in settings:
-        a = matrices["serial"][name][setting]
-        b = matrices["parallel"][name][setting]
-        if (a.steps, a.cycles, a.aex_events, a.overhead_pct) != \
-                (b.steps, b.cycles, b.aex_events, b.overhead_pct):
-            unequal.append(setting)
-    wall = {label: m.total_wall_s for label, m in matrices.items()}
-    print(f"smoke {name} serial vs --jobs {jobs}: "
-          f"wall {wall['serial']:.3f}s vs {wall['parallel']:.3f}s")
-    if unequal:
-        print(f"PARALLEL DIVERGENCE in {len(unequal)} cells: "
-              f"{', '.join(unequal)}")
-        return 1
-    print("parallel cell values identical to serial")
-    return 0
-
-
-def _bench_provision(args, workloads, settings) -> int:
-    """``repro bench --provision``: delegation-latency sweep comparing
-    the legacy (seed) and decode-once provisioning pipelines, with a
-    per-cell byte-identity check between the two."""
-    from .bench.provision import STAGES, ProvisionMatrix
-
-    repeats = 1 if args.smoke else args.repeats
-    if args.smoke:
-        workloads = workloads[:1]
-    matrix = ProvisionMatrix.collect(
-        workloads, settings=settings, param=args.param,
-        repeats=repeats, jobs=args.jobs, strict=False)
-    doc = matrix.to_json()
-    if args.record or args.baseline:
-        _bench_store_hook(args, _sweep_records(args, doc))
-    if args.json:
-        out = Path(args.out or "BENCH_provision.json")
-        out.write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"wrote {out}")
-
-    rows = [[c.workload, c.setting,
-             f"{c.legacy_cold_s * 1e3:.2f}", f"{c.new_cold_s * 1e3:.2f}",
-             f"{c.warm_s * 1e3:.3f}", f"{c.speedup:.2f}x",
-             "yes" if c.identical else "NO", c.status]
-            for c in matrix.cells]
-    print(format_table(
-        f"provisioning latency (repeats={repeats}, jobs={args.jobs})",
-        ["workload", "setting", "legacy ms", "new ms", "warm ms",
-         "speedup", "identical", "status"], rows))
-    totals = doc["totals"]
-    print(f"\naggregate cold speedup (legacy / decode-once): "
-          f"{totals['cold_speedup']}x  "
-          f"(legacy {totals['legacy_cold_ms']:.1f} ms, "
-          f"new {totals['new_cold_ms']:.1f} ms, "
-          f"warm {totals['warm_ms']:.2f} ms)")
-    failed = False
-    if matrix.divergent_cells:
-        print(f"DIVERGENT cells ({len(matrix.divergent_cells)}): "
-              f"{', '.join(matrix.divergent_cells)}")
-        failed = True
-    incomplete = matrix.incomplete_cells
-    if incomplete:
-        print(f"MISSING stage timings (want {', '.join(STAGES)}) in: "
-              f"{', '.join(incomplete)}")
-        failed = True
-    other = [cell for cell in matrix.failures
-             if cell not in matrix.divergent_cells]
-    if other:
-        print(f"FAILED cells ({len(other)}): {', '.join(other)}")
-        failed = True
-    if failed:
-        return 1
-    print("legacy and decode-once images byte-identical on every cell")
-    return 0
-
-
-def _bench_static(args, workloads, settings) -> int:
-    """``repro bench --static``: annotation-full vs annotation-light
-    ablation — same workloads compiled both ways, differential
-    verification and output checks, plus the overhead the proofs cut."""
-    from .bench.static import STATIC_SETTINGS, StaticMatrix
-
-    if args.settings is None:
-        # The paper matrix includes baseline (nothing to elide) and
-        # P1-P6 (AEX markers the proofs leave alone) — the ablation
-        # defaults to the guard-bearing columns instead.
-        settings = STATIC_SETTINGS
-    if args.smoke:
-        workloads = workloads[:3]
-    matrix = StaticMatrix.collect(workloads, settings=settings,
-                                  param=args.param, jobs=args.jobs,
-                                  strict=False)
-    doc = matrix.to_json()
-    if args.record or args.baseline:
-        _bench_store_hook(args, _sweep_records(args, doc))
-    if args.json:
-        out = Path(args.out or "BENCH_static.json")
-        out.write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"wrote {out}")
-
-    rows = [[c.workload, c.setting,
-             f"{c.cycles_full:,.0f}", f"{c.cycles_light:,.0f}",
-             f"{c.overhead_full_pct:.1f}", f"{c.overhead_light_pct:.1f}",
-             f"{c.overhead_cut_pct:.1f}",
-             f"{c.guard_sites_full}->{c.guard_sites_light}",
-             c.proof_entries,
-             "yes" if c.verified_light else "NO",
-             "yes" if c.outputs_identical else "NO",
-             c.status]
-            for c in matrix.cells]
-    print(format_table(
-        f"static proof tier ablation (jobs={args.jobs})",
-        ["workload", "setting", "full cyc", "light cyc", "ovh full%",
-         "ovh light%", "cut %", "guards", "proofs", "verified",
-         "identical", "status"], rows))
-    totals = doc["totals"]
-    print(f"\nguard sites {totals['guard_sites_full']} -> "
-          f"{totals['guard_sites_light']} "
-          f"({totals['elided_sites']} proven elisions, "
-          f"{totals['annotation_bytes_saved']} annotation bytes "
-          f"saved); overhead cut mean "
-          f"{totals['mean_overhead_cut_pct']}%, min "
-          f"{totals['min_overhead_cut_pct']}%")
-    if matrix.failures:
-        print(f"FAILED cells ({len(matrix.failures)}): "
-              f"{', '.join(matrix.failures)}")
-        return 1
-    print("every annotation-light binary verified in-enclave with "
-          "outputs identical to annotation-full")
-    return 0
-
-
-def _bench_checkpoint(args, workloads, settings) -> int:
-    """``repro bench --checkpoint``: resume-equivalence property sweep
-    plus sealing-overhead measurement per ``checkpoint_every``."""
-    from .bench.checkpointing import CheckpointMatrix
-    from .workloads.registry import WORKLOADS
-
-    if args.workloads is None:
-        workloads = sorted(WORKLOADS)   # the full registry, not NBench
-    if args.smoke:
-        workloads = workloads[:1]
-    matrix = CheckpointMatrix.collect(workloads, setting=settings[-1],
-                                      param=args.param)
-    doc = matrix.to_json()
-    if args.record or args.baseline:
-        _bench_store_hook(args, _sweep_records(args, doc))
-    if args.json:
-        out = Path(args.out or "BENCH_checkpoint.json")
-        out.write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"wrote {out}")
-
-    rows = []
-    for c in matrix.cells:
-        ovh = " ".join(f"{p.checkpoint_every}:{p.overhead_pct:+.0f}%"
-                       for p in c.overhead)
-        rows.append([
-            c.workload, f"{c.steps:,}", f"{c.plain_wall_s * 1e3:.1f}",
-            ovh,
-            f"{sum(1 for r in c.resumes if r.identical)}"
-            f"/{len(c.resumes)}",
-            "yes" if all(r.rollback_rejected for r in c.resumes)
-            and c.resumes else "NO",
-            c.status])
-    print(format_table(
-        f"checkpoint/restore ({doc['setting']}, intervals "
-        f"{doc['checkpoint_settings']})",
-        ["workload", "steps", "plain ms", "ckpt overhead",
-         "resume ==", "rollback rej", "status"], rows))
-    totals = doc["totals"]
-    print(f"\nmean sealing overhead per interval: "
-          + ", ".join(f"every {k}: {v:+.1f}%"
-                      for k, v in totals["mean_overhead_pct"].items()))
-    failed = False
-    if totals["resume_mismatches"]:
-        print(f"RESUME DIVERGENCE in: "
-              f"{', '.join(totals['resume_mismatches'])}")
-        failed = True
-    if totals["rollbacks_accepted"]:
-        print(f"ROLLBACK ACCEPTED in: "
-              f"{', '.join(totals['rollbacks_accepted'])}")
-        failed = True
-    other = [w for w in totals["failures"]
-             if w not in totals["resume_mismatches"]
-             and w not in totals["rollbacks_accepted"]]
-    if other:
-        print(f"FAILED cells ({len(other)}): {', '.join(other)}")
-        failed = True
-    if failed:
-        return 1
-    print(f"all {totals['resume_points']} interrupted runs resumed "
-          f"byte-identically; every rollback replay rejected")
-    return 0
-
-
-def _bench_fleet(args) -> int:
-    """``repro bench --fleet``: seeded open-loop fleet campaign —
-    sessions/sec and p50/p99 session latency across a supervised drone
-    pool, with at least one scripted checkpoint migration verified
-    byte-for-byte."""
-    from .bench.fleet import (
-        format_fleet_table, run_fleet_bench, smoke_params,
-    )
-    params = smoke_params() if args.smoke else {}
-    doc = run_fleet_bench(seed=args.seed, **params)
-    if args.record or args.baseline:
-        _bench_store_hook(args, _sweep_records(args, doc))
-    if args.json:
-        out = Path(args.out or "BENCH_fleet.json")
-        out.write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"wrote {out}")
-    print(format_fleet_table(doc))
-    check = doc["migration_check"]
-    if check:
-        print(f"\nmigrated session {check['job_id']}: "
-              f"{' -> '.join(dict.fromkeys(check['einits']))} "
-              f"(resumed at step {check['resumed_at_step']}, outputs "
-              f"{'byte-identical' if check['outputs_match'] else 'DIVERGENT'})")
-    if doc["corrupt"]:
-        print(f"CORRUPT outputs ({len(doc['corrupt'])}): "
-              f"{', '.join(doc['corrupt'])}")
-        return 1
-    if doc["lost"]:
-        print(f"LOST sessions ({len(doc['lost'])}): "
-              f"{', '.join(doc['lost'])}")
-        return 1
-    if not check or not check["outputs_match"]:
-        print("NO verified checkpoint migration in this campaign")
-        return 1
-    print("every admitted session completed or was shed typed; "
-          "zero lost")
-    return 0
-
-
-def _bench_pipeline(args) -> int:
-    """``repro bench --pipeline``: multi-enclave provenance pipeline
-    matrix — topologies x batch/stream x clean/chaos, every cell
-    chain-verified and byte-compared against the unfaulted serial
-    oracle."""
-    from .bench.pipeline import (
-        format_pipeline_table, run_pipeline_bench, smoke_params,
-    )
-    params = smoke_params() if args.smoke else {}
-    doc = run_pipeline_bench(seed=args.seed, **params)
-    if args.record or args.baseline:
-        _bench_store_hook(args, _sweep_records(args, doc))
-    if args.json:
-        out = Path(args.out or "BENCH_pipeline.json")
-        out.write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"wrote {out}")
-    print(format_pipeline_table(doc))
-    bad = [c for c in doc["cells"] if c["status"] != "ok"]
-    if bad:
-        print(f"FAILED cells ({len(bad)}): "
-              + ", ".join(f"{c['topology']}/{c['mode']}/{c['faults']}"
-                          f"={c['status']}" for c in bad))
-        return 1
-    accepted = sum(c["attacks_accepted"] for c in doc["cells"])
-    if accepted:
-        print(f"ATTACKS ACCEPTED: {accepted} doctored handoffs passed "
-              f"chain verification")
-        return 1
-    print("every cell chain-verified and byte-identical to the "
-          "unfaulted serial oracle")
-    return 0
-
-
 def cmd_bench(args) -> int:
-    from .bench.harness import PAPER_SETTINGS, RunMatrix, run_workload
-    from .core.bootstrap import PROVISION_CACHE
-    from .vm.costmodel import CostModel
+    """One driver for every bench kind: collect, store hook, ``--json``,
+    table, failure lines, exit code."""
+    from .bench.kinds import KINDS
     from .workloads import get_workload
-    from .workloads.nbench import NBENCH_ORDER
-
-    if args.fleet:
-        return _bench_fleet(args)
-
-    if args.pipeline:
-        return _bench_pipeline(args)
-
-    workloads = list(args.workloads or NBENCH_ORDER)
-    settings = tuple(args.settings or PAPER_SETTINGS)
-    use_cache = not args.no_provision_cache
+    kind = KINDS[args.bench_kind]
     try:
-        for name in workloads:
+        for name in args.workloads or ():
             get_workload(name)
-        for setting in settings:
+        for setting in args.settings or ():
             PolicySet.parse(setting)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if args.provision:
-        return _bench_provision(args, workloads, settings)
-
-    if args.checkpoint:
-        return _bench_checkpoint(args, workloads, settings)
-
-    if args.static:
-        return _bench_static(args, workloads, settings)
-
-    if args.smoke:
-        name = workloads[0]
-        setting = settings[-1]
-        cells = {}
-        # Three engines: the oracle, the unchained tier-1 translator,
-        # and the chained tier-2 translator — one cell each, diffed
-        # bit-exact, so CI catches a chaining divergence in seconds.
-        for executor in ("step", "translate-t1", "translate"):
-            cells[executor] = run_workload(
-                name, setting, args.param,
-                aex_schedule=AexSchedule(400_000),
-                cost_model=CostModel.for_executor(executor),
-                provision_cache=use_cache,
-                chaos_seed=args.chaos,
-                warmup=not args.cold and args.chaos is None)
-        if args.record or args.baseline:
-            _bench_store_hook(args,
-                              _sweep_records(args, smoke_cells=cells))
-        step, fast = cells["step"], cells["translate"]
-        diverged = [
-            f"{key}[{executor}]"
-            for executor in ("translate-t1", "translate")
-            for key in ("steps", "cycles", "aex_events", "reports",
-                        "status")
-            if getattr(step, key) != getattr(cells[executor], key)]
-        print(f"smoke {name}/{setting}: "
-              f"step={step.steps:,} steps / {step.cycles:,.0f} cycles, "
-              f"translate={fast.steps:,} steps / "
-              f"{fast.cycles:,.0f} cycles")
-        if diverged:
-            print(f"DIVERGENCE: {', '.join(diverged)}")
-            return 1
-        print(f"cycle accounts identical across 3 engines "
-              f"(speedup {step.wall_s / fast.wall_s:.2f}x, "
-              f"tier2 vs tier1 "
-              f"{cells['translate-t1'].wall_s / fast.wall_s:.2f}x)")
-        if args.jobs > 1:
-            return _smoke_parallel_equality(name, settings, args.param,
-                                            args.jobs)
-        return 0
-
-    if args.executor == "both":
-        executors = ["step", "translate"]
-    elif args.executor == "all":
-        executors = ["step", "translate-t1", "translate"]
-    else:
-        executors = [args.executor]
-    warmup = not args.cold
-    matrices = {executor: RunMatrix.collect(
-                    workloads, settings=settings,
-                    executor="step" if executor == "step" else "translate",
-                    cost_model=CostModel.for_executor(executor),
-                    param=args.param,
-                    jobs=args.jobs,
-                    strict=False,
-                    provision_cache=use_cache,
-                    chaos_seed=args.chaos,
-                    warmup=warmup)
-                for executor in executors}
-
-    divergent: list = []
-    if len(matrices) == 1:
-        doc = matrices[executors[0]].to_json()
-    else:
-        # Every non-oracle executor diffs bit-exact against the step
-        # oracle; speedups quote the tier-2 translator.
-        oracle, fast = matrices["step"], matrices["translate"]
-        for ex, m in matrices.items():
-            if ex == "step":
-                continue
-            for name in workloads:
-                for setting in settings:
-                    a, b = oracle[name][setting], m[name][setting]
-                    if (a.steps, a.cycles, a.aex_events) != \
-                            (b.steps, b.cycles, b.aex_events):
-                        cell = f"{name}/{setting}"
-                        if ex != "translate":
-                            cell += f" [{ex}]"
-                        divergent.append(cell)
-        speedup = {}
-        for name in workloads:
-            wall_o = sum(r.wall_s for r in oracle[name].values())
-            wall_f = sum(r.wall_s for r in fast[name].values())
-            speedup[name] = round(wall_o / wall_f, 2) if wall_f else 0.0
-        comparison = {
-            "aggregate_speedup": round(
-                oracle.total_wall_s / fast.total_wall_s, 2),
-            "per_workload_speedup": speedup,
-            "divergent_cells": divergent,
-        }
-        if "translate-t1" in matrices:
-            # Attribute the win per tier: chained tier 2 over the
-            # block-at-a-time tier-1 translator.
-            t1 = matrices["translate-t1"]
-            per_wl = {}
-            for name in workloads:
-                w1 = sum(r.wall_s for r in t1[name].values())
-                w2 = sum(r.wall_s for r in fast[name].values())
-                per_wl[name] = round(w1 / w2, 2) if w2 else 0.0
-            comparison["tier2_vs_tier1"] = {
-                "aggregate_speedup": round(
-                    t1.total_wall_s / fast.total_wall_s, 2),
-                "per_workload_speedup": per_wl,
-            }
-        doc = {
-            "schema": "deflection-bench/1",
-            "parallelism": args.jobs,
-            "steady_state": warmup,
-            "executors": {ex: m.to_json() for ex, m in matrices.items()},
-            "comparison": comparison,
-        }
-    # Parent-process cache stats plus per-cell hit counts (with --jobs,
-    # hits happen inside the pool workers and ride back on the cells).
-    doc["provision_cache"] = dict(
-        PROVISION_CACHE.stats(),
-        cell_hits=sum(r.provision_cache_hits
-                      for m in matrices.values()
-                      for row in m.values() for r in row.values()))
-    if args.chaos is not None:
-        doc["chaos_seed"] = args.chaos
-        doc["chaos"] = {
-            "retries": sum(r.retries for m in matrices.values()
-                           for row in m.values() for r in row.values()),
-            "recoveries": sum(r.recoveries for m in matrices.values()
-                              for row in m.values()
-                              for r in row.values()),
-        }
-
-    if args.record or args.baseline:
-        _bench_store_hook(args, _sweep_records(
-            args, doc,
-            executor_label=executors[0] if len(executors) == 1
-            else None))
+    doc = kind.collect(args, kind.smoke if args.smoke else {})
+    _bench_store_hook(args, doc)
     if args.json:
-        out = Path(args.out or "BENCH_vm.json")
+        out = Path(args.out or kind.out)
         out.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"wrote {out}")
-
-    for executor, matrix in matrices.items():
-        rows = [[name, setting, f"{r.steps:,}", f"{r.cycles:,.0f}",
-                 f"{r.wall_s:.3f}", f"{r.ips:,.0f}",
-                 f"{r.overhead_pct:+.2f}", r.status]
-                for name, row in matrix.items()
-                for setting, r in row.items()]
-        print(format_table(
-            f"bench ({executor} executor, jobs={args.jobs})",
-            ["workload", "setting", "steps", "cycles", "wall s",
-             "instr/s", "ovh %", "status"], rows))
-    if len(matrices) > 1:
-        print(f"\naggregate speedup (step wall / translate wall): "
-              f"{doc['comparison']['aggregate_speedup']}x")
-        tier = doc["comparison"].get("tier2_vs_tier1")
-        if tier:
-            print(f"tier-2 chained vs tier-1 translator: "
-                  f"{tier['aggregate_speedup']}x")
-        if divergent:
-            print(f"DIVERGENCE in {len(divergent)} cells: "
-                  f"{', '.join(divergent)}")
-            return 1
-        print("cycle accounts identical across executors")
-    failed = sorted({cell for m in matrices.values()
-                     for cell in m.failures})
-    if failed:
-        print(f"FAILED cells ({len(failed)}): {', '.join(failed)}")
+    print(kind.report(doc, args))
+    failures = kind.failures(doc)
+    for line in failures:
+        print(line)
+    if failures:
         return 1
+    if kind.ok_line:
+        print(kind.ok_line.format(**doc))
     return 0
 
 
@@ -740,138 +284,124 @@ _NEVER_RETRY = ("PolicyViolation", "VerificationError",
                 "ProvenanceError")
 
 
-def _chaos_fleet(args) -> int:
-    """``repro chaos --fleet``: seeded fleet-scoped fault campaign —
-    mid-fleet drone kills, heartbeat storms and a shared attestation
-    outage under load; fails on any lost session or divergent output."""
-    from .service.faults import run_fleet_campaign
-    report = run_fleet_campaign(seed=args.seed)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
-    counters = report["counters"]
-    print(f"\nfleet chaos seed={args.seed}: "
-          f"{counters['completed']} completed, "
-          f"{counters['shed']} shed typed, "
-          f"{len(report['faults'])} faults injected | "
-          f"{counters['replacements']} replacements, "
-          f"{counters['quarantines']} quarantines, "
-          f"{counters['migrations']} migrations, "
-          f"{counters['preemptions']} preemptions, "
-          f"{report['stats']['rollbacks_rejected']} rollbacks rejected")
-    if report["lost"]:
-        print(f"LOST SESSIONS: {', '.join(report['lost'])}")
-        return 1
-    if report["corrupt"]:
-        print(f"CORRUPT OUTCOMES: {', '.join(report['corrupt'])}")
-        return 1
-    print("every admitted session completed or was shed typed under "
-          "fleet-scoped faults; all outputs byte-identical")
-    return 0
-
-
-def _chaos_pipeline(args) -> int:
-    """``repro chaos --pipeline``: seeded pipeline fault campaign —
-    mid-hop kills, handoff corruption, chain splice/replay, stalled
-    stages and quarantines across alternating topologies and
-    batch/stream modes; fails on any lost pipeline, accepted attack,
-    divergent output, upstream re-execution, or non-replayable
-    report."""
-    from .service.faults import run_pipeline_campaign
-    trials = args.trials if args.trials is not None else 6
-    report = run_pipeline_campaign(seed=args.seed, trials=trials)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+def _verdict_base(report: dict):
+    """Two-party campaign (``--mid-run`` adds mid-execution faults)."""
     totals = report["totals"]
-    badly_retried = sorted(
-        kind for kind in report["retried_error_kinds"]
-        if kind in _NEVER_RETRY)
-    print(f"\npipeline chaos seed={args.seed} trials={trials}: "
-          f"{totals['ok']} ok | "
-          f"{totals['faults_injected']} faults injected, "
-          f"{totals['midrun_teardowns']} mid-hop teardowns, "
-          f"{totals['resumes']} checkpoint resumes, "
-          f"{totals['handoffs_rejected']} corrupt handoffs rejected, "
-          f"{totals['chain_attacks_rejected']} chain attacks rejected, "
-          f"{totals['discard_reruns']} discard-reruns, "
-          f"{totals['migrations']} migrations, "
-          f"{totals['stalls']} stalls requeued")
-    failed = False
-    if not report["zero_lost"]:
-        print(f"LOST PIPELINES: {totals['lost']}")
-        failed = True
-    if not report["zero_attacks_accepted"]:
-        print(f"ATTACKS ACCEPTED: {totals['attacks_accepted']} "
-              f"doctored handoffs passed chain verification")
-        failed = True
-    if not report["all_identical"]:
-        print(f"DIVERGENT OUTPUTS: "
-              f"{trials - totals['identical']} of {trials} trials "
-              f"differ from the unfaulted serial oracle")
-        failed = True
-    if not report["zero_upstream_excess"]:
-        print(f"UPSTREAM RE-EXECUTION: {totals['upstream_excess']} "
-              f"completed runs beyond one per hop per chunk")
-        failed = True
-    if not report["replay_identical"]:
-        print("REPLAY DIVERGENCE: re-running trial 0 from the same "
-              "seed produced a different report")
-        failed = True
-    if badly_retried:
-        print(f"FATAL CLASSES RETRIED: {', '.join(badly_retried)}")
-        failed = True
-    if failed:
-        return 1
-    print("zero lost pipelines; every attack rejected; every mid-hop "
-          "teardown recovered by resume at that hop; all outputs "
-          "byte-identical to the serial oracle; replay byte-identical")
-    return 0
+    summary = (
+        f"chaos seed={report['seed']} trials={report['trials']}"
+        f"{' mid-run' if report['mid_run'] else ''}: "
+        f"{totals['ok']} ok, {totals['violation']} violations "
+        f"trapped, {totals['aborted']} aborted | "
+        f"{totals['faults_injected']} faults injected, "
+        f"{totals['retries']} retries, "
+        f"{totals['reconnects']} reconnects, "
+        f"{totals['recoveries']} enclave recoveries, "
+        f"{totals['resumes']} checkpoint resumes, "
+        f"{totals['rollbacks_rejected']} rollbacks rejected")
+    checks = (
+        (totals["unrecovered"],
+         f"UNRECOVERED transient failures: {totals['unrecovered']}"),
+        (totals["corrupt"],
+         f"CORRUPT OUTCOMES (resumed run diverged or tampered state was "
+         f"accepted): {totals['corrupt']}"))
+    return summary, checks, (
+        "all transient faults recovered; no fatal class retried; every "
+        "completed run produced the expected result")
+
+
+def _verdict_fleet(report: dict):
+    """Fleet-scoped campaign: drone kills, storms, outages."""
+    counters = report["counters"]
+    summary = (
+        f"fleet chaos seed={report['seed']}: "
+        f"{counters['completed']} completed, "
+        f"{counters['shed']} shed typed, "
+        f"{len(report['faults'])} faults injected | "
+        f"{counters['replacements']} replacements, "
+        f"{counters['quarantines']} quarantines, "
+        f"{counters['migrations']} migrations, "
+        f"{counters['preemptions']} preemptions, "
+        f"{report['stats']['rollbacks_rejected']} rollbacks rejected")
+    checks = (
+        (report["lost"], f"LOST SESSIONS: {', '.join(report['lost'])}"),
+        (report["corrupt"],
+         f"CORRUPT OUTCOMES: {', '.join(report['corrupt'])}"))
+    return summary, checks, (
+        "every admitted session completed or was shed typed under "
+        "fleet-scoped faults; all outputs byte-identical")
+
+
+def _verdict_pipeline(report: dict):
+    """Pipeline campaign: mid-hop kills, handoff and chain attacks,
+    stalls, quarantines."""
+    totals, trials = report["totals"], report["trials"]
+    summary = (
+        f"pipeline chaos seed={report['seed']} trials={trials}: "
+        f"{totals['ok']} ok | "
+        f"{totals['faults_injected']} faults injected, "
+        f"{totals['midrun_teardowns']} mid-hop teardowns, "
+        f"{totals['resumes']} checkpoint resumes, "
+        f"{totals['handoffs_rejected']} corrupt handoffs rejected, "
+        f"{totals['chain_attacks_rejected']} chain attacks rejected, "
+        f"{totals['discard_reruns']} discard-reruns, "
+        f"{totals['migrations']} migrations, "
+        f"{totals['stalls']} stalls requeued")
+    checks = (
+        (not report["zero_lost"], f"LOST PIPELINES: {totals['lost']}"),
+        (not report["zero_attacks_accepted"],
+         f"ATTACKS ACCEPTED: {totals['attacks_accepted']} doctored "
+         f"handoffs passed chain verification"),
+        (not report["all_identical"],
+         f"DIVERGENT OUTPUTS: {trials - totals['identical']} of {trials} "
+         f"trials differ from the unfaulted serial oracle"),
+        (not report["zero_upstream_excess"],
+         f"UPSTREAM RE-EXECUTION: {totals['upstream_excess']} completed "
+         f"runs beyond one per hop per chunk"),
+        (not report["replay_identical"],
+         "REPLAY DIVERGENCE: re-running trial 0 from the same seed "
+         "produced a different report"))
+    return summary, checks, (
+        "zero lost pipelines; every attack rejected; every mid-hop "
+        "teardown recovered by resume at that hop; all outputs "
+        "byte-identical to the serial oracle; replay byte-identical")
 
 
 def cmd_chaos(args) -> int:
-    from .service.faults import run_campaign
-    if args.fleet:
-        return _chaos_fleet(args)
-    if args.pipeline:
-        return _chaos_pipeline(args)
-    trials = args.trials if args.trials is not None else 20
-    args.trials = trials
-    report = run_campaign(seed=args.seed, trials=trials,
-                          mid_run=args.mid_run)
+    """One driver for every chaos campaign: run, JSON report, summary,
+    failure lines (plus the shared never-retry check), exit code."""
+    from .service import faults
+    if args.campaign == "fleet":
+        if args.trials is not None:
+            print("error: --trials does not apply to --fleet",
+                  file=sys.stderr)
+            return 2
+        report = faults.run_fleet_campaign(seed=args.seed)
+        verdict = _verdict_fleet
+    elif args.campaign == "pipeline":
+        report = faults.run_pipeline_campaign(
+            seed=args.seed, trials=6 if args.trials is None else args.trials)
+        verdict = _verdict_pipeline
+    else:
+        report = faults.run_campaign(
+            seed=args.seed, trials=20 if args.trials is None else args.trials,
+            mid_run=args.campaign == "mid-run")
+        verdict = _verdict_base
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)
-    totals = report["totals"]
-    badly_retried = sorted(
-        kind for kind in report["retried_error_kinds"]
-        if kind in _NEVER_RETRY)
-    print(f"\nchaos seed={args.seed} trials={args.trials}"
-          f"{' mid-run' if args.mid_run else ''}: "
-          f"{totals['ok']} ok, {totals['violation']} violations "
-          f"trapped, {totals['aborted']} aborted | "
-          f"{totals['faults_injected']} faults injected, "
-          f"{totals['retries']} retries, "
-          f"{totals['reconnects']} reconnects, "
-          f"{totals['recoveries']} enclave recoveries, "
-          f"{totals['resumes']} checkpoint resumes, "
-          f"{totals['rollbacks_rejected']} rollbacks rejected")
-    if totals["unrecovered"]:
-        print(f"UNRECOVERED transient failures: "
-              f"{totals['unrecovered']}")
+    summary, checks, ok_line = verdict(report)
+    print(f"\n{summary}")
+    retried = sorted(kind for kind in report.get("retried_error_kinds", ())
+                     if kind in _NEVER_RETRY)
+    failures = [line for failed, line in checks + (
+        (retried, f"FATAL CLASSES RETRIED: {', '.join(retried)}"),)
+        if failed]
+    for line in failures:
+        print(line)
+    if failures:
         return 1
-    if totals["corrupt"]:
-        print(f"CORRUPT OUTCOMES (resumed run diverged or tampered "
-              f"state was accepted): {totals['corrupt']}")
-        return 1
-    if badly_retried:
-        print(f"FATAL CLASSES RETRIED: {', '.join(badly_retried)}")
-        return 1
-    print("all transient faults recovered; no fatal class retried; "
-          "every completed run produced the expected result")
+    print(ok_line)
     return 0
 
 
@@ -888,6 +418,7 @@ def cmd_tcb(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .bench.kinds import KINDS
     parser = argparse.ArgumentParser(
         prog="repro", description="DEFLECTION reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -948,55 +479,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="write machine-readable results to --out")
     p.add_argument("-o", "--out", default=None,
-                   help="result file (default: BENCH_vm.json; "
-                        "BENCH_provision.json with --provision; "
-                        "BENCH_checkpoint.json with --checkpoint; "
-                        "BENCH_fleet.json with --fleet; "
-                        "BENCH_pipeline.json with --pipeline; "
-                        "BENCH_static.json with --static)")
-    p.add_argument("--checkpoint", action="store_true",
-                   help="measure sealed checkpoint/restore instead of "
-                        "raw execution: per workload, interrupt the "
-                        "run at seeded safe points, resume from the "
-                        "sealed chain and demand a byte-identical "
-                        "outcome (plus rollback-replay rejection), and "
-                        "sweep the sealing overhead per "
-                        "checkpoint_every interval; exit nonzero on "
-                        "any divergence or accepted rollback")
-    p.add_argument("--provision", action="store_true",
-                   help="measure delegation latency instead of "
-                        "execution: time the legacy vs decode-once "
-                        "provisioning pipelines per stage (plus the "
-                        "cache-warm path) and byte-compare their "
-                        "rewritten images; exit nonzero on divergence")
-    p.add_argument("--static", action="store_true",
-                   help="measure the static proof tier instead of raw "
-                        "execution: compile every cell annotation-full "
-                        "and annotation-light (provable guards elided, "
-                        "proofs shipped), demand the light binary pass "
-                        "full in-enclave verification with outputs "
-                        "identical to full, and record the overhead "
-                        "the proofs cut; exit nonzero on any "
-                        "unverified, divergent or slower cell")
-    p.add_argument("--fleet", action="store_true",
-                   help="measure fleet throughput/latency instead of "
-                        "raw execution: drive a supervised drone pool "
-                        "through a seeded open-loop arrival process "
-                        "(with a scripted mid-run kill so at least one "
-                        "session provably migrates across EINITs via "
-                        "its sealed checkpoint chain); exit nonzero on "
-                        "any lost session, divergent output or missing "
-                        "migration")
-    p.add_argument("--pipeline", action="store_true",
-                   help="measure the multi-enclave provenance pipeline "
-                        "instead of raw execution: sweep topologies x "
-                        "batch/stream x clean/chaos, verify every "
-                        "cell's full cross-enclave provenance chain "
-                        "and byte-compare its output against the "
-                        "unfaulted serial oracle; exit nonzero on any "
-                        "broken chain, accepted attack or divergent "
-                        "output (throughput is stored as records_per_s, "
-                        "latency as chunk_p99_s)")
+                   help="result file (default: BENCH_<kind>.json, "
+                        "e.g. BENCH_vm.json, BENCH_fleet.json with "
+                        "--fleet)")
+    # One kind selector per run: the kinds are mutually exclusive.
+    kinds = p.add_mutually_exclusive_group()
+    for kind in KINDS.values():
+        if kind.help:
+            kinds.add_argument(f"--{kind.name}", dest="bench_kind",
+                               action="store_const", const=kind.name,
+                               help=kind.help)
+    p.set_defaults(bench_kind="vm")
     p.add_argument("--seed", type=int, default=2021,
                    help="campaign seed for --fleet / --pipeline "
                         "(arrival process, job mix, fault plans, retry "
@@ -1070,8 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="make wall-clock regressions beyond the band "
                         "blocking instead of advisory")
     g.add_argument("--kind", nargs="*", default=None,
-                   choices=["vm", "provision", "checkpoint", "fleet",
-                            "static", "pipeline"],
+                   choices=list(KINDS),
                    help="restrict the gate to these record kinds")
     g.add_argument("--synthetic-regression", type=float, default=None,
                    metavar="PCT",
@@ -1088,28 +580,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2021)
     p.add_argument("--trials", type=int, default=None,
                    help="campaign trials (default: 20; 6 with "
-                        "--pipeline)")
-    p.add_argument("--mid-run", action="store_true",
-                   help="checkpoint the runs and additionally inject "
-                        "mid-execution teardowns, checkpoint-chain "
-                        "corruption and rollback replays; fails on any "
-                        "non-identical resumed outcome or accepted "
-                        "rollback")
-    p.add_argument("--fleet", action="store_true",
-                   help="run the fleet-scoped campaign instead: drone "
-                        "kills mid-fleet (idle and mid-session), "
-                        "heartbeat storms over a subset, and a shared "
-                        "attestation outage under load; fails on any "
-                        "lost session or divergent output")
-    p.add_argument("--pipeline", action="store_true",
-                   help="run the multi-enclave pipeline campaign "
-                        "instead: mid-hop kills, handoff corruption, "
-                        "provenance-chain splice/replay, stalled "
-                        "stages and platform quarantines across "
-                        "alternating topologies and batch/stream "
-                        "modes; fails on any lost pipeline, accepted "
-                        "attack, divergent output, upstream "
-                        "re-execution or non-replayable report")
+                        "--pipeline; not with --fleet)")
+    # One campaign per run: the selectors are mutually exclusive.
+    campaigns = p.add_mutually_exclusive_group()
+    campaigns.add_argument(
+        "--mid-run", dest="campaign", action="store_const",
+        const="mid-run",
+        help="checkpoint the runs and additionally inject "
+             "mid-execution teardowns, checkpoint-chain corruption and "
+             "rollback replays; fails on any non-identical resumed "
+             "outcome or accepted rollback")
+    campaigns.add_argument(
+        "--fleet", dest="campaign", action="store_const", const="fleet",
+        help="run the fleet-scoped campaign instead: drone kills "
+             "mid-fleet (idle and mid-session), heartbeat storms over a "
+             "subset, and a shared attestation outage under load; fails "
+             "on any lost session or divergent output")
+    campaigns.add_argument(
+        "--pipeline", dest="campaign", action="store_const",
+        const="pipeline",
+        help="run the multi-enclave pipeline campaign instead: mid-hop "
+             "kills, handoff corruption, provenance-chain splice/replay, "
+             "stalled stages and platform quarantines across alternating "
+             "topologies and batch/stream modes; fails on any lost "
+             "pipeline, accepted attack, divergent output, upstream "
+             "re-execution or non-replayable report")
     p.add_argument("-o", "--out", default=None,
                    help="also write the JSON report to this file")
     p.set_defaults(func=cmd_chaos)

@@ -6,9 +6,7 @@ import pytest
 
 from repro.bench import gates
 from repro.bench.store import (
-    CellKey, Record, ResultsStore, StoreError, records_from_checkpoint_doc,
-    records_from_doc, records_from_provision_doc, records_from_vm_doc,
-    stamp_run,
+    CellKey, Record, ResultsStore, StoreError, records_from_doc, stamp_run,
 )
 from repro.cli import main
 
@@ -76,7 +74,7 @@ def test_store_rejects_garbage_lines(tmp_path):
 def test_vm_doc_ingest_single_and_multi_executor():
     single = {"schema": "deflection-bench/1", "executor": "translate",
               "workloads": {"numeric_sort": {"P1": VM_CELL}}}
-    records = records_from_vm_doc(single, executor_label="translate-t1")
+    records = records_from_doc(single, executor_label="translate-t1")
     assert len(records) == 1
     assert records[0].key.executor == "translate-t1"
     assert records[0].key.tier == 1
@@ -86,7 +84,7 @@ def test_vm_doc_ingest_single_and_multi_executor():
              "executors": {ex: {"workloads":
                                 {"numeric_sort": {"P1": VM_CELL}}}
                            for ex in ("step", "translate")}}
-    records = records_from_vm_doc(multi)
+    records = records_from_doc(multi)
     tiers = sorted(r.key.tier for r in records)
     assert tiers == [0, 2]
 
@@ -99,7 +97,7 @@ def test_provision_doc_ingest_keys_and_acceptance():
             "detail": "images differ"}
     doc = {"schema": "deflection-provision/1",
            "workloads": {"huffman": {"P1-P6": cell}}}
-    (rec,) = records_from_provision_doc(doc)
+    (rec,) = records_from_doc(doc)
     assert rec.key == CellKey("provision", "", -1, "huffman",
                               "P1-P6", 40)
     assert rec.metrics["identical"] is False
@@ -116,7 +114,7 @@ def test_checkpoint_doc_ingest_downgrades_silent_mismatch():
                          "chain_len": 2, "identical": False,
                          "rollback_rejected": True}]}
     doc = {"schema": "deflection-checkpoint-bench/1", "cells": [cell]}
-    (rec,) = records_from_checkpoint_doc(doc)
+    (rec,) = records_from_doc(doc)
     # CheckpointCell.status stays "ok" on a resume mismatch; the store
     # must still refuse to accept it into the rolling baseline.
     assert rec.status == "divergent"

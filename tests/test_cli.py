@@ -239,3 +239,23 @@ def test_bench_checkpoint_resume_mismatch_exits_nonzero(monkeypatch,
     assert main(["bench", "--checkpoint",
                  "--workloads", "numeric_sort"]) == 1
     assert "RESUME DIVERGENCE" in capsys.readouterr().out
+
+
+# -- CLI: kind and campaign selectors are exclusive ---------------------
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--provision", "--static", "--fleet"],
+    ["bench", "--checkpoint", "--pipeline"],
+    ["chaos", "--fleet", "--mid-run", "--trials", "3"],
+    ["chaos", "--pipeline", "--fleet"],
+])
+def test_conflicting_selectors_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_chaos_fleet_rejects_trials(capsys):
+    assert main(["chaos", "--fleet", "--trials", "3"]) == 2
+    assert "--trials" in capsys.readouterr().err
