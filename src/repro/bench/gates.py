@@ -189,7 +189,9 @@ def classify(metric: str, current, baseline,
                 worse = not worse
             cls, pct = ("regressed" if worse else "improved"), None
     else:
-        pct = 100.0 * (current - baseline) / baseline
+        # Relative to the baseline's magnitude, so a negative baseline
+        # (a wall-derived overhead) keeps the sign of the change.
+        pct = 100.0 * (current - baseline) / abs(baseline)
         if pct > band:
             cls = "improved" if inverted else "regressed"
         elif pct < -band:

@@ -58,10 +58,12 @@ class Metric:
     flag: bool = False
 
     def read(self, row: dict):
+        """The value in ``row``; None when the row does not carry it
+        (an absent flag reads False: it must hold)."""
         *path, leaf = (self.src or self.name).split(".")
         for part in path:
             row = row.get(part, {})
-        value = row.get(leaf, 0)
+        value = row.get(leaf)
         return bool(value) if self.flag else value
 
 
@@ -84,9 +86,11 @@ def flag(*specs: str) -> Tuple[Metric, ...]:
 
 def read_metrics(metrics: Tuple[Metric, ...], row: dict) -> dict:
     """A cell row's metric values, in declaration order; family
-    members follow in row order."""
-    values = {m.name: m.read(row) for m in metrics
-              if not m.name.endswith("@")}
+    members follow in row order.  A metric the row does not carry is
+    left out, so it neither records nor gates."""
+    values = {m.name: value for m in metrics
+              if not m.name.endswith("@")
+              and (value := m.read(row)) is not None}
     families = tuple(m.name for m in metrics if m.name.endswith("@"))
     if families:
         values.update((k, v) for k, v in row.items()
@@ -244,8 +248,17 @@ def _collect_vm_smoke(args, name: str, settings: tuple) -> dict:
             "jobs": args.jobs,
             "wall_s": [serial.total_wall_s, parallel.total_wall_s],
             "unequal": [s for s in settings if a[s] != b[s]]}
-    return smoke_doc({ex: c.to_dict() for ex, c in cells.items()},
-                     smoke=check)
+    return smoke_doc({ex: _without_baseline(c.to_dict())
+                      for ex, c in cells.items()}, smoke=check)
+
+
+def _without_baseline(cell: dict) -> dict:
+    """A smoke cell runs no baseline beside it, so it has no overhead
+    to carry: a recorded 0.0 would become the key's baseline and gate
+    the next sweep's real overhead as a regression."""
+    if cell["setting"] != "baseline":
+        del cell["overhead_pct"]
+    return cell
 
 
 def _collect_vm(args, smoke: dict) -> dict:

@@ -12,7 +12,7 @@ import hashlib
 import hmac
 import secrets
 
-from .dh import MODP_2048_G as G, MODP_2048_P as P, MODP_2048_Q as Q
+from .dh import MODP_2048_P as P, MODP_2048_Q as Q, g_pow
 
 _Q_BYTES = (Q.bit_length() + 7) // 8
 
@@ -48,7 +48,7 @@ class VerifyingKey:
         if not (0 <= s < Q):
             return False
         # r' = g^s * y^e ; valid iff H(r' || m) == e
-        r = (pow(G, s, P) * pow(self.y, e % Q, P)) % P
+        r = (g_pow(s) * pow(self.y, e % Q, P)) % P
         expected = _hash_to_int(r.to_bytes(256, "big"), message)
         return hmac.compare_digest(
             expected.to_bytes(64, "big"), signature[:64])
@@ -67,7 +67,7 @@ class SigningKey:
             x = int.from_bytes(
                 hashlib.sha512(b"schnorr-key" + seed).digest(), "big")
         self._x = x % Q or 2
-        self.verifying_key = VerifyingKey(pow(G, self._x, P))
+        self.verifying_key = VerifyingKey(g_pow(self._x))
 
     def derive_secret(self, label: bytes) -> bytes:
         """Derive a 32-byte secret bound to this private key.
@@ -84,7 +84,7 @@ class SigningKey:
         k = int.from_bytes(
             hmac.new(key_bytes, b"nonce" + message,
                      hashlib.sha512).digest(), "big") % Q or 2
-        r = pow(G, k, P)
+        r = g_pow(k)
         e = _hash_to_int(r.to_bytes(256, "big"), message)
         s = (k - self._x * e) % Q
         return e.to_bytes(64, "big") + s.to_bytes(_Q_BYTES, "big")

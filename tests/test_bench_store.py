@@ -194,6 +194,32 @@ def test_boolean_metrics_gate_on_truth():
     assert fixed.deltas[0].classification == "improved"
 
 
+@pytest.mark.parametrize("current,expected", [
+    (-5.0, "regressed"),     # overhead rose from -10% toward zero
+    (-15.0, "improved"),
+    (-10.0, "flat"),
+])
+def test_negative_baseline_lower_is_better(current, expected):
+    delta = gates.classify("overhead_pct", current, -10.0)
+    assert delta.classification == expected
+    assert delta.gating                      # deterministic: zero band
+    assert delta.delta_pct == pytest.approx(10.0 * (current + 10.0))
+    # A wall-derived family member keeps the sense under its band.
+    wall = gates.classify("overhead_pct@1600", current / 2, -5.0)
+    assert wall.classification == expected and not wall.gating
+
+
+@pytest.mark.parametrize("current,expected", [
+    (-5.0, "improved"),      # throughput rose
+    (-15.0, "regressed"),
+    (-11.0, "flat"),         # within the wall band
+])
+def test_negative_baseline_higher_is_better(current, expected):
+    delta = gates.classify("records_per_s", current, -10.0)
+    assert delta.classification == expected
+    assert delta.delta_pct == pytest.approx(10.0 * (current + 10.0))
+
+
 def test_unaccepted_latest_blocks_regardless_of_history():
     records = _history(100.0, 100.0)
     records.append(_record({"cycles": 100.0}, run_id="r9",
@@ -298,6 +324,29 @@ def test_cli_baseline_report_without_record(tmp_path, capsys):
     assert "flat" in out
     # --baseline alone never writes
     assert len(ResultsStore(store).load()) == 2
+
+
+def test_cli_smoke_then_sweep_gates_zero(tmp_path, capsys):
+    # CI's bench-smoke job: the smoke records, then a sweep over the
+    # same workload records, then the gate runs over both.  A smoke
+    # cell has no baseline cell beside it, so it records no
+    # overhead_pct that the sweep's real overhead could regress from.
+    store = str(tmp_path / "history.jsonl")
+    common = ["--param", "40", "--jobs", "2", "--record", "--store", store]
+    assert main(["bench", "--smoke"] + common) == 0
+    smoke = ResultsStore(store).load()
+    assert {r.key.setting for r in smoke} == {"P1-P6"}
+    assert all("overhead_pct" not in r.metrics and "cycles" in r.metrics
+               for r in smoke)
+    assert main(["bench", "--workloads", "numeric_sort",
+                 "--executor", "both"] + common) == 0
+    capsys.readouterr()
+    assert main(["bench", "gate", "--store", store]) == 0
+    report = gates.evaluate(ResultsStore(store).load())
+    (overhead,) = [d for d in report.deltas if d.metric == "overhead_pct"
+                   and d.key.setting == "P1-P6"
+                   and d.key.executor == "translate"]
+    assert overhead.classification == "new" and overhead.current > 0
 
 
 def test_cli_gate_missing_or_empty_store(tmp_path, capsys):
