@@ -245,9 +245,8 @@ def run_workload(workload: Union[str, Workload], setting: str,
     edges and inline caches), the enclave image is restored bit-exact,
     and the timed run repeats the identical execution on the warm CPU.
     Applied uniformly to every executor — the step engine gains
-    nothing, the tier-1 translator recoups its small compile cost, the
-    tier-2 translator recoups chaining warm-up — so cross-executor
-    ratios compare pure execution.  The two runs are bit-identical
+    nothing, the translator recoups its compile and chaining warm-up —
+    so cross-executor ratios compare pure execution.  The two runs are bit-identical
     (same steps, cycles, AEX arrivals); ignored under ``chaos_seed``.
 
     ``chaos_seed`` runs the cell under deterministic fault injection

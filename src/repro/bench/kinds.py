@@ -29,14 +29,16 @@ from typing import Callable, Dict, Iterable, List, Tuple
 
 from .tables import format_table
 
-#: JIT tier per bench executor label (the label, not
-#: ``CostModel.executor`` — ``translate-t1`` resolves to the translate
-#: engine with chaining off, so only the label still knows the tier).
+#: JIT tier per bench executor label.  ``translate`` stays tier 2 so
+#: the committed history keys still match.  The tier-1 label (the
+#: retired unchained translator) is kept only so the archived
+#: ``BENCH_vm.json`` and ``tests/fixtures/ingest_golden.json`` ingest
+#: unchanged; no engine runs under it any more.
 TIERS = {"step": 0, "translate-t1": 1, "translate": 2}
 
-#: The engines the VM smoke runs one cell under: the step oracle, the
-#: unchained tier-1 translator and the chained tier-2 translator.
-SMOKE_ENGINES = ("step", "translate-t1", "translate")
+#: The engines the VM smoke runs one cell under: the step oracle and
+#: the chained translator.
+SMOKE_ENGINES = ("step", "translate")
 
 
 @dataclass(frozen=True)
@@ -175,8 +177,8 @@ VM_METRICS = (det("cycles", "steps", "aex_events", "text_bytes",
 
 def _vm_subdocs(doc: dict, label) -> dict:
     """``{executor label: single-matrix doc}`` of a vm document — the
-    multi-executor wrapper or one ``RunMatrix.to_json()`` (whose
-    ``executor`` field erases the tier-1 label, so ``label`` wins)."""
+    multi-executor wrapper or one ``RunMatrix.to_json()`` (an explicit
+    ``label`` wins over its ``executor`` field)."""
     if "executors" in doc:
         return doc["executors"]
     return {label or doc.get("executor", "translate"): doc}
@@ -227,7 +229,7 @@ def _collect_vm_smoke(args, name: str, settings: tuple) -> dict:
     cells = {ex: run_workload(
                 name, setting, args.param,
                 aex_schedule=AexSchedule(400_000),
-                cost_model=CostModel.for_executor(ex),
+                cost_model=CostModel(executor=ex),
                 provision_cache=not args.no_provision_cache,
                 chaos_seed=args.chaos,
                 warmup=not args.cold and args.chaos is None)
@@ -268,12 +270,11 @@ def _collect_vm(args, smoke: dict) -> dict:
     workloads, settings = _workloads(args, smoke), _settings(args)
     if args.smoke:
         return _collect_vm_smoke(args, workloads[0], settings)
-    executors = {"both": ["step", "translate"],
-                 "all": list(SMOKE_ENGINES)}.get(args.executor,
-                                                 [args.executor])
+    executors = ["step", "translate"] if args.executor == "both" \
+        else [args.executor]
     matrices = {ex: RunMatrix.collect(
                     workloads, settings=settings,
-                    cost_model=CostModel.for_executor(ex),
+                    cost_model=CostModel(executor=ex),
                     param=args.param, jobs=args.jobs, strict=False,
                     provision_cache=not args.no_provision_cache,
                     chaos_seed=args.chaos, warmup=not args.cold)
@@ -281,21 +282,14 @@ def _collect_vm(args, smoke: dict) -> dict:
     if len(matrices) == 1:
         doc = matrices[executors[0]].to_json()
     else:
-        # Every non-oracle executor diffs bit-exact against the step
-        # oracle; speedups quote the tier-2 translator.
+        # The translator diffs bit-exact against the step oracle.
         oracle, fast = matrices["step"], matrices["translate"]
-        divergent = [
-            f"{name}/{s}" + ("" if ex == "translate" else f" [{ex}]")
-            for ex, m in matrices.items() if ex != "step"
-            for name in workloads for s in settings
-            if _account(oracle[name][s]) != _account(m[name][s])]
+        divergent = [f"{name}/{s}" for name in workloads
+                     for s in settings
+                     if _account(oracle[name][s])
+                     != _account(fast[name][s])]
         comparison = {**_speedups(oracle, fast, workloads),
                       "divergent_cells": divergent}
-        if "translate-t1" in matrices:
-            # Attribute the win per tier: chained tier 2 over the
-            # block-at-a-time tier-1 translator.
-            comparison["tier2_vs_tier1"] = _speedups(
-                matrices["translate-t1"], fast, workloads)
         doc = {"schema": "deflection-bench/1",
                "parallelism": args.jobs,
                "steady_state": not args.cold,
@@ -323,7 +317,7 @@ def _smoke_cells(doc: dict) -> Dict[str, dict]:
 def _report_vm(doc: dict, args) -> str:
     if "smoke" in doc:
         check, cells = doc["smoke"], _smoke_cells(doc)
-        step, t1, fast = (cells[ex] for ex in SMOKE_ENGINES)
+        step, fast = (cells[ex] for ex in SMOKE_ENGINES)
         lines = [f"smoke {check['workload']}/{check['setting']}: "
                  f"step={step['steps']:,} steps / "
                  f"{step['cycles']:,.0f} cycles, "
@@ -331,9 +325,8 @@ def _report_vm(doc: dict, args) -> str:
                  f"{fast['cycles']:,.0f} cycles"]
         if not check["diverged"]:
             lines.append(
-                f"cycle accounts identical across 3 engines "
-                f"(speedup {step['wall_s'] / fast['wall_s']:.2f}x, "
-                f"tier2 vs tier1 {t1['wall_s'] / fast['wall_s']:.2f}x)")
+                f"cycle accounts identical across both engines "
+                f"(speedup {step['wall_s'] / fast['wall_s']:.2f}x)")
         par = check.get("parallel")
         if par:
             lines.append(f"smoke {check['workload']} serial vs --jobs "
@@ -342,7 +335,7 @@ def _report_vm(doc: dict, args) -> str:
             if not par["unequal"]:
                 lines.append("parallel cell values identical to serial")
         return "\n".join(lines)
-    label = None if args.executor in ("both", "all") else args.executor
+    label = None if args.executor == "both" else args.executor
     lines = [format_table(
         f"bench ({ex} executor, jobs={sub['parallelism']})",
         ["workload", "setting", "steps", "cycles", "wall s", "instr/s",
@@ -356,10 +349,6 @@ def _report_vm(doc: dict, args) -> str:
     if comparison:
         lines.append(f"\naggregate speedup (step wall / translate wall): "
                      f"{comparison['aggregate_speedup']}x")
-        tier = comparison.get("tier2_vs_tier1")
-        if tier:
-            lines.append(f"tier-2 chained vs tier-1 translator: "
-                         f"{tier['aggregate_speedup']}x")
         if not comparison["divergent_cells"]:
             lines.append("cycle accounts identical across executors")
     return "\n".join(lines)

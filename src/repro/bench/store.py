@@ -218,7 +218,7 @@ def records_from_doc(doc: dict, commit: str = "unknown",
     (byte identity, chain verification, rollback rejection ...) is
     downgraded to ``divergent``, so it never feeds a baseline.
     ``executor_label`` names the engine of a single-matrix vm document
-    (the tier-1 label is erased by the cost model).
+    (it wins over the document's own ``executor`` field).
     """
     kind = SCHEMAS.get(doc.get("schema"))
     if kind is None:

@@ -467,11 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="policy settings (default: Table II columns)")
     p.add_argument("--param", type=int, default=None)
     p.add_argument("--executor",
-                   choices=["translate", "step", "both",
-                            "translate-t1", "all"], default="both",
-                   help="engine(s) to sweep: 'both' = step + tier-2 "
-                        "translator, 'all' adds the unchained tier-1 "
-                        "translator so the speedup attributes per tier")
+                   choices=["translate", "step", "both"], default="both",
+                   help="engine(s) to sweep: 'both' = the step oracle "
+                        "plus the translator, diffed bit-exact")
     p.add_argument("--cold", action="store_true",
                    help="skip the per-cell warm-up run: report "
                         "first-run walls (compile + cold dispatch "

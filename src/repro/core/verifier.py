@@ -74,7 +74,7 @@ class VerifiedBinary:
                                              repr=False)
     #: Text offsets whose incoming flag state is provably dead (see
     #: :func:`~repro.vm.flowinfo.flag_liveness`).  Computed once on the
-    #: verified stream; the tier-2 translator uses it as a whole-program
+    #: verified stream; the translator uses it as a whole-program
     #: veto when eliding flag materialization across chain edges.
     #: Rewriting only patches MOV_RI immediates (flag-neutral), so the
     #: set stays valid for the rewritten image.

@@ -10,14 +10,14 @@ They are *simulation grade*: correct constructions, no side-channel
 hardening, not for production use.
 """
 
-from .chacha import ChaCha20, chacha20_xor
+from .chacha import chacha20_xor
 from .dh import DHKeyPair, MODP_2048_P, MODP_2048_G
 from .hkdf import hkdf_extract, hkdf_expand, hkdf
 from .sig import SigningKey, VerifyingKey
 from .channel import SecureChannel, derive_channel_keys
 
 __all__ = [
-    "ChaCha20", "chacha20_xor",
+    "chacha20_xor",
     "DHKeyPair", "MODP_2048_P", "MODP_2048_G",
     "hkdf_extract", "hkdf_expand", "hkdf",
     "SigningKey", "VerifyingKey",

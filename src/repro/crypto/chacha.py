@@ -79,42 +79,24 @@ def _keystream(key_words, nonce_words, counter: int, blocks: int) -> bytes:
     return out.tobytes()
 
 
-class ChaCha20:
-    """ChaCha20 keystream generator/cipher.
-
-    ``key`` is 32 bytes, ``nonce`` is 12 bytes, ``counter`` the initial
-    64-byte block counter.  Encryption and decryption are the same
-    operation (XOR with the keystream).
-    """
-
-    def __init__(self, key: bytes, nonce: bytes, counter: int = 0):
-        if len(key) != 32:
-            raise ValueError("ChaCha20 key must be 32 bytes")
-        if len(nonce) != 12:
-            raise ValueError("ChaCha20 nonce must be 12 bytes")
-        self._key_words = struct.unpack("<8I", key)
-        self._nonce_words = struct.unpack("<3I", nonce)
-        self._counter = counter
-
-    def keystream(self, length: int) -> bytes:
-        """The next ``length`` keystream bytes.  Every call starts on a
-        fresh block; the tail of its last block is discarded."""
-        blocks = -(-length // 64)
-        if blocks <= 0:
-            return b""
-        stream = _keystream(self._key_words, self._nonce_words,
-                            self._counter, blocks)
-        self._counter += blocks
-        return stream[:length]
-
-    def process(self, data: bytes) -> bytes:
-        stream = self.keystream(len(data))
-        return (int.from_bytes(data, "little")
-                ^ int.from_bytes(stream, "little")).to_bytes(
-                    len(data), "little")
-
-
 def chacha20_xor(key: bytes, nonce: bytes, data: bytes,
                  counter: int = 0) -> bytes:
-    """One-shot encrypt/decrypt."""
-    return ChaCha20(key, nonce, counter).process(data)
+    """Encrypt/decrypt ``data`` (any bytes-like) in one shot: XOR with
+    the keystream that starts at 64-byte block ``counter``.
+
+    ``key`` is 32 bytes and ``nonce`` 12 bytes; anything else raises
+    :class:`ValueError`.  Encryption and decryption are the same
+    operation."""
+    if len(key) != 32:
+        raise ValueError("ChaCha20 key must be 32 bytes")
+    if len(nonce) != 12:
+        raise ValueError("ChaCha20 nonce must be 12 bytes")
+    length = len(data)
+    if not length:
+        return b""
+    stream = _keystream(struct.unpack("<8I", key),
+                        struct.unpack("<3I", nonce), counter,
+                        -(-length // 64))
+    return (int.from_bytes(data, "little")
+            ^ int.from_bytes(stream[:length], "little")).to_bytes(
+                length, "little")

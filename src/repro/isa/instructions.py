@@ -231,7 +231,7 @@ FLAG_OBSERVER_OPS = COND_JUMPS
 #: call).  Across a run of these, a pending flag state can be elided or
 #: deferred: no architectural observation point — fault frame, SSA dump,
 #: SVC handler, run exit — can fire in between.  Shared by the RDD
-#: liveness pass and the tier-2 translator so both sides of the
+#: liveness pass and the translator so both sides of the
 #: verifier/VM contract classify identically.
 FLAG_NEUTRAL_OPS = frozenset({
     Op.NOP, Op.MOV_RR, Op.MOV_RI, Op.LEA, Op.NEG, Op.NOT,

@@ -39,8 +39,8 @@ from ..isa.instructions import Op
 from ..sgx.memory import AddressSpace
 from .costmodel import CostModel
 from .interrupts import AexSchedule, AexTimer
-from .translate import CHAIN_COLD_RUNS, CHAIN_DEPTH, COLD_RUNS, \
-    BlockCache, materialize_flags, pack_flags
+from .translate import CHAIN_DEPTH, COLD_RUNS, BlockCache, \
+    materialize_flags, pack_flags
 
 _U64 = (1 << 64) - 1
 _SIGN = 1 << 63
@@ -441,17 +441,9 @@ class CPU:
         blocks_get = blocks.get
         move_to_end = blocks.move_to_end
         translate = cache.translate
-        chain_depth = CHAIN_DEPTH if cache.chain_on else 0
-        # Tier 2 fuses much earlier: the structural code cache makes
-        # codegen cost mostly string assembly, so the warm-up economics
-        # that justify COLD_RUNS interpreter replays for tier 1 do not
-        # hold.  Read through the module globals so tests pinning
-        # COLD_RUNS keep their meaning for both tiers.
-        if self.jit_eager:
-            cold_runs = 0
-        else:
-            cold_runs = min(COLD_RUNS, CHAIN_COLD_RUNS) \
-                if cache.chain_on else COLD_RUNS
+        # Read through the module globals so tests can pin them.
+        chain_depth = CHAIN_DEPTH
+        cold_runs = 0 if self.jit_eager else COLD_RUNS
         disp = 0
         try:
             while True:

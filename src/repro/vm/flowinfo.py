@@ -3,7 +3,7 @@
 These analyses feed the executors, not the verifier: nothing here can
 accept or reject a binary, so the module lives with the VM rather than
 in the consumer TCB.  Today that is the flag-liveness fixpoint the
-tier-2 translator consults at chain edges.
+translator consults at chain edges.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def flag_liveness(code) -> frozenset:
     count as observations.  Direct ``JMP`` transfers the question to
     its target; flag-neutral ops defer to their fall-through.
 
-    The tier-2 translator consults the result when deciding whether a
+    The translator consults the result when deciding whether a
     chain predecessor may skip materializing lazily-tracked flags at a
     chain edge: an edge into a dead-on-entry leader can never leak a
     stale or missing flag state.  The set is computed once per binary

@@ -366,6 +366,6 @@ def test_cli_smoke_records_all_three_tiers(tmp_path, capsys):
                  "--record", "--store", str(store)]) == 0
     records = ResultsStore(store).load()
     assert sorted(r.key.executor for r in records) == \
-        ["step", "translate", "translate-t1"]
-    assert sorted(r.key.tier for r in records) == [0, 1, 2]
+        ["step", "translate"]
+    assert sorted(r.key.tier for r in records) == [0, 2]
     assert main(["bench", "gate", "--store", str(store)]) == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.crypto import (
-    ChaCha20, chacha20_xor, DHKeyPair, SecureChannel, SigningKey,
+    chacha20_xor, DHKeyPair, SecureChannel, SigningKey,
     VerifyingKey, hkdf, hkdf_expand, hkdf_extract,
 )
 from repro.crypto import channel as channel_module
@@ -107,9 +107,9 @@ def test_chacha20_involution():
 
 def test_chacha20_rejects_bad_key_nonce():
     with pytest.raises(ValueError):
-        ChaCha20(b"short", b"n" * 12)
+        chacha20_xor(b"short", b"n" * 12, b"data")
     with pytest.raises(ValueError):
-        ChaCha20(b"k" * 32, b"short")
+        chacha20_xor(b"k" * 32, b"short", b"data")
 
 
 _WRAP_COUNTERS = (0, 1, 2**32 - 1, 2**32 - 16)
@@ -128,25 +128,11 @@ def test_chacha20_matches_scalar_reference(counter, length):
         _ref_xor(key, nonce, data, counter)
 
 
-@pytest.mark.parametrize("counter", _WRAP_COUNTERS)
-def test_chacha20_stateful_keystream_matches_reference(counter):
-    # Each keystream() call starts on a fresh block and discards the
-    # tail of its last one; odd lengths exercise that bookkeeping.
-    rng = random.Random(f"chacha-stream/{counter}")
-    key, nonce = rng.randbytes(32), rng.randbytes(12)
-    cipher = ChaCha20(key, nonce, counter)
-    position = counter
-    for length in (1, 63, 65, 0, 7, 129, 1000, 3):
-        expected = _ref_keystream(key, nonce, position, length)
-        assert cipher.keystream(length) == expected
-        position += -(-length // 64)
-
-
 def test_chacha20_process_accepts_bytes_like():
     key, nonce, data = b"k" * 32, b"n" * 12, bytes(range(200))
     expected = _ref_xor(key, nonce, data)
     for view in (bytearray(data), memoryview(data)):
-        out = ChaCha20(key, nonce).process(view)
+        out = chacha20_xor(key, nonce, view)
         assert type(out) is bytes and out == expected
 
 

@@ -4,8 +4,9 @@ page-indexed invalidation and the LRU-bounded block cache.
 Everything here is differential at heart: whatever the chained
 executor does — link chains, fill and poison inline caches, sever
 edges on self-modifying code, evict under a tiny cache bound — the
-retired (steps, cycles, rip, result) account must match the unchained
-tier-1 translator and the single-step oracle bit for bit.
+retired (steps, cycles, rip, result) account must match the
+single-step oracle bit for bit.  (The ``test_three_engines_agree*``
+names date from when an unchained translator ran beside the two.)
 """
 
 import pytest
@@ -42,7 +43,7 @@ def _load(items, enclave=None):
 
 def _cpu(enclave, executor="translate", cost_model=None, **kwargs):
     layout = enclave.layout
-    cm = cost_model or CostModel.for_executor(executor)
+    cm = cost_model or CostModel(executor=executor)
     return CPU(enclave.space, layout.regions["code"].start,
                initial_rsp=layout.initial_rsp,
                ssa_addr=layout.ssa_addr,
@@ -128,14 +129,14 @@ def _accounts(result):
     return result.steps, result.cycles, result.rip, result.return_value
 
 
-# -- three-engine equality ----------------------------------------------------
+# -- engine equality ----------------------------------------------------------
 
 @pytest.mark.parametrize("program", ["nested", "calls"])
 def test_three_engines_agree(program):
     items = _nested_loops() if program == "nested" \
         else _call_items()[0]
     accounts = set()
-    for executor in ("step", "translate-t1", "translate"):
+    for executor in ("step", "translate"):
         result, _ = _run(items, executor)
         accounts.add(_accounts(result))
     assert len(accounts) == 1
@@ -144,7 +145,7 @@ def test_three_engines_agree(program):
 def test_three_engines_agree_under_aex_storm():
     items = _nested_loops(outer=40, inner=25)
     accounts = set()
-    for executor in ("step", "translate-t1", "translate"):
+    for executor in ("step", "translate"):
         result, _ = _run(items, executor,
                          aex=AexSchedule(37, jitter=0.4, seed=99))
         accounts.add(_accounts(result))
@@ -154,7 +155,7 @@ def test_three_engines_agree_under_aex_storm():
 # -- chaining and inline caches ----------------------------------------------
 
 def test_hot_loop_forms_chains(monkeypatch):
-    monkeypatch.setattr("repro.vm.cpu.CHAIN_COLD_RUNS", 0)
+    monkeypatch.setattr("repro.vm.cpu.COLD_RUNS", 0)
     _, cpu = _run(_nested_loops(outer=60, inner=30), "translate")
     stats = cpu.jit_stats()
     assert stats["chain_links"] > 0
@@ -164,7 +165,7 @@ def test_hot_loop_forms_chains(monkeypatch):
 
 
 def test_chain_depth_bounds_hops_per_dispatch(monkeypatch):
-    monkeypatch.setattr("repro.vm.cpu.CHAIN_COLD_RUNS", 0)
+    monkeypatch.setattr("repro.vm.cpu.COLD_RUNS", 0)
     monkeypatch.setattr("repro.vm.cpu.CHAIN_DEPTH", 1)
     result, cpu = _run(_nested_loops(), "translate")
     baseline, _ = _run(_nested_loops(), "step")
@@ -175,7 +176,7 @@ def test_chain_depth_bounds_hops_per_dispatch(monkeypatch):
 
 
 def test_indirect_branch_ic_hits_with_trusted_targets(monkeypatch):
-    monkeypatch.setattr("repro.vm.cpu.CHAIN_COLD_RUNS", 0)
+    monkeypatch.setattr("repro.vm.cpu.COLD_RUNS", 0)
     items, leaf = _call_items(n=80)
     enclave, asm = _load(items)
     cpu = _cpu(enclave, "translate",
@@ -189,7 +190,7 @@ def test_indirect_branch_ic_hits_with_trusted_targets(monkeypatch):
 
 
 def test_untrusted_call_r_target_never_fills_guarded_ic(monkeypatch):
-    monkeypatch.setattr("repro.vm.cpu.CHAIN_COLD_RUNS", 0)
+    monkeypatch.setattr("repro.vm.cpu.COLD_RUNS", 0)
     items, leaf = _call_items(n=80)
     enclave, asm = _load(items)
     # empty trusted set: the CALL_R site may never cache its target;
@@ -204,7 +205,7 @@ def test_untrusted_call_r_target_never_fills_guarded_ic(monkeypatch):
 # -- invalidation: page index, chain severing, forced flush -------------------
 
 def test_invalidate_code_range_severs_chains(monkeypatch):
-    monkeypatch.setattr("repro.vm.cpu.CHAIN_COLD_RUNS", 0)
+    monkeypatch.setattr("repro.vm.cpu.COLD_RUNS", 0)
     items = _nested_loops(outer=40, inner=20)
     enclave, asm = _load(items)
     code = enclave.layout.regions["code"].start
@@ -222,7 +223,7 @@ def test_invalidate_code_range_severs_chains(monkeypatch):
 
 def test_flush_mid_run_is_architecturally_invisible(monkeypatch):
     """A forced full flush between slices must not move the account."""
-    monkeypatch.setattr("repro.vm.cpu.CHAIN_COLD_RUNS", 0)
+    monkeypatch.setattr("repro.vm.cpu.COLD_RUNS", 0)
     items = _nested_loops(outer=50, inner=25)
 
     enclave, asm = _load(items)
@@ -238,7 +239,7 @@ def test_flush_mid_run_is_architecturally_invisible(monkeypatch):
 
 
 def test_partial_invalidation_only_drops_overlapping_blocks(monkeypatch):
-    monkeypatch.setattr("repro.vm.cpu.CHAIN_COLD_RUNS", 0)
+    monkeypatch.setattr("repro.vm.cpu.COLD_RUNS", 0)
     items, leaf = _call_items(n=50)
     enclave, asm = _load(items)
     cpu = _cpu(enclave, "translate")
@@ -256,9 +257,9 @@ def test_lru_bound_holds_under_pathological_smc(monkeypatch):
     """Repeated full flushes + retranslation cycle thousands of blocks
     through a 4-entry cache; the bound must hold throughout and the
     account must still match the oracle."""
-    monkeypatch.setattr("repro.vm.cpu.CHAIN_COLD_RUNS", 0)
+    monkeypatch.setattr("repro.vm.cpu.COLD_RUNS", 0)
     items = _nested_loops(outer=30, inner=15)
-    cm = CostModel.for_executor("translate")
+    cm = CostModel(executor="translate")
     object.__setattr__(cm, "jit_block_cap", 4) \
         if hasattr(type(cm), "__dataclass_fields__") else None
     enclave, asm = _load(items)
